@@ -9,12 +9,20 @@ across all of them.
 
 * :class:`SerialBackend` — in-process, submission order (reference).
 * :class:`ProcessPoolBackend` — a process pool on this host.
-* :class:`WorkQueueBackend` — a filesystem work queue served by
-  independent ``repro worker`` processes (same host or any host
-  sharing the directory), with lease-based dead-worker recovery.
-* :class:`HttpQueueBackend` — the same queue served over HTTP by a
-  ``repro coordinator`` process (:class:`CoordinatorServer`), so
-  worker hosts need network reach instead of a shared filesystem.
+* :class:`QueueBackend` — a work queue served by independent
+  ``repro worker`` processes, with lease-based dead-worker recovery.
+  One state machine over a :class:`QueueStore`, bound to either
+  transport:
+
+  * :class:`WorkQueueBackend` — over a :class:`DirectoryQueueStore`
+    (same host or any host sharing the directory);
+  * :class:`HttpQueueBackend` — over an :class:`HttpQueueStore`
+    talking to a ``repro coordinator`` (:class:`CoordinatorServer`),
+    so worker hosts need network reach instead of a shared
+    filesystem.
+
+  Both transports follow one set of failure rules: the dispatcher,
+  the worker loop and the lease heartbeat are written once.
 
 Quickstart::
 
@@ -40,12 +48,16 @@ from repro.backends.coordinator import (
     CoordinatorServer,
     CoordinatorWorkerLauncher,
     HttpQueueBackend,
+    HttpQueueStore,
     worker_loop_http,
 )
 from repro.backends.local import ProcessPoolBackend, SerialBackend
 from repro.backends.workqueue import (
+    DirectoryQueueStore,
     ElasticStats,
     ElasticSupervisor,
+    QueueBackend,
+    QueueStore,
     QueueWorkerLauncher,
     WorkerLauncher,
     WorkQueueBackend,
@@ -56,11 +68,15 @@ __all__ = [
     "CoordinatorClient",
     "CoordinatorServer",
     "CoordinatorWorkerLauncher",
+    "DirectoryQueueStore",
     "ElasticStats",
     "ElasticSupervisor",
     "ExecutionBackend",
     "HttpQueueBackend",
+    "HttpQueueStore",
     "ProcessPoolBackend",
+    "QueueBackend",
+    "QueueStore",
     "QueueWorkerLauncher",
     "SerialBackend",
     "WorkerLauncher",

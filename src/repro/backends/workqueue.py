@@ -1,7 +1,19 @@
-"""Filesystem work queue: shard dispatch to independent workers.
+"""The work queue: one state machine over a pluggable queue store.
 
-The queue is a directory (local disk for multi-process runs, a shared
-filesystem for multi-host ones) with one subdirectory per lifecycle
+A queue hands self-describing unit docs to independent workers and
+collects their results.  Its primitives form the :class:`QueueStore`
+protocol — dispatcher side ``submit``/``poll``/``read_result``/
+``delete_result``/``requeue``/``cancel``/``set_stop``/``stats``,
+worker side ``claim``/``heartbeat``/``post_result`` — with two
+implementations: :class:`DirectoryQueueStore` here (every on-disk
+operation) and ``HttpQueueStore`` in :mod:`repro.backends.coordinator`
+(each primitive one call against a ``repro coordinator``).  On top of
+either sits one dispatcher (:class:`QueueBackend`), one worker loop
+(:func:`_serve_store`) and one lease heartbeat (:class:`_Heartbeat`),
+so every fault-handling rule is written once.
+
+The directory is local disk for multi-process runs, a shared
+filesystem for multi-host ones, with one subdirectory per lifecycle
 stage::
 
     queue/
@@ -16,17 +28,18 @@ Every file appears atomically (write to a temp name + fsync +
 when a writer dies.
 
 **Claiming** is a single ``os.rename`` from ``tasks/`` to ``leases/``
-— exactly one worker wins, no locks.  While executing, the worker
-touches its lease file every ``heartbeat`` seconds (the interval rides
-in the task doc, derived from the dispatcher's ``lease_timeout``).
+— exactly one worker wins, no locks — after which the claim stamps the
+worker's id into the lease.  While executing, the worker heartbeats
+its lease every ``heartbeat`` seconds (the interval rides in the task
+doc, derived from the dispatcher's ``lease_timeout``).
 
 **Dead workers**: the dispatcher re-enqueues any claimed unit whose
-lease goes stale (no heartbeat for ``lease_timeout`` seconds) by
-moving its doc back to ``tasks/`` with an incremented attempt count,
-up to ``max_attempts``.  Unit payloads are pure functions of the wire
-doc, so a re-run — even racing a worker that was merely slow, not
-dead — produces bit-identical bytes; whichever result lands first is
-used.
+lease goes stale (no heartbeat for ``lease_timeout`` seconds) with an
+incremented attempt count, up to ``max_attempts``.  A result post is
+accepted only while the unit's current doc carries the posting
+attempt, and a worker whose heartbeat reports the lease lost skips its
+post; unit payloads are pure functions of the wire doc, so the retry
+produces bit-identical bytes.
 
 **Clean failures** (an execution raising) are *not* retried: the
 worker writes an error result and the dispatcher raises it, because a
@@ -57,6 +70,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Set,
     Tuple,
 )
@@ -156,7 +170,44 @@ def quarantine_file(queue_dir: str, path: str) -> Optional[str]:
     return target
 
 
-# -- worker side -------------------------------------------------------------
+# -- the store protocol ------------------------------------------------------
+
+
+class QueueStore(Protocol):
+    """The queue's primitives; everything above them is shared.
+
+    Each call is one step of the queue state machine.  The dispatcher
+    and the worker loop never touch the transport directly, so a fault
+    rule written against these primitives holds for both stores.
+    """
+
+    #: The ``repro worker`` arguments that serve this queue.
+    worker_args: str
+
+    # dispatcher side
+    def submit(self, doc: Dict[str, Any]) -> None: ...
+    def poll(
+        self, unit_ids: List[str], cancelled: List[str]
+    ) -> Dict[str, Any]: ...
+    def read_result(self, unit_id: str) -> Optional[bytes]: ...
+    def delete_result(self, unit_id: str) -> bool: ...
+    def requeue(
+        self, unit_id: str, doc: Dict[str, Any], quarantine: bool
+    ) -> Dict[str, Any]: ...
+    def cancel(self, unit_ids: List[str]) -> Dict[str, Dict[str, bool]]: ...
+    def set_stop(self, stopped: bool) -> None: ...
+    def stats(self) -> Dict[str, Any]: ...
+
+    # worker side
+    def claim(self, worker_id: str, host: str) -> Dict[str, Any]: ...
+    def heartbeat(self, unit_id: str, worker_id: str) -> bool: ...
+    def mark_dead(self, unit_id: str) -> None: ...
+    def post_result(
+        self, unit_id: str, worker_id: str, attempt: int, body: bytes
+    ) -> bool: ...
+
+
+# -- the directory store -----------------------------------------------------
 
 
 def _touch(path: str) -> None:
@@ -164,71 +215,12 @@ def _touch(path: str) -> None:
     os.utime(path)
 
 
-class _Heartbeat:
-    """Touches a lease file on a background thread while a unit runs,
-    so the dispatcher can tell a slow worker from a dead one.
-
-    Thread death is **not** silent: if the beat loop raises, the
-    thread records its own demise in the lease doc
-    (``heartbeat_alive: false``) and forces the lease mtime stale, so
-    the dispatcher re-enqueues promptly instead of waiting out the
-    full lease timeout — and the worker observes :attr:`failed` and
-    aborts the unit instead of publishing a result for a lease it no
-    longer keeps alive (the re-enqueued attempt recomputes the
-    identical payload).  Without this, a dead heartbeat under a
-    healthy worker meant the dispatcher re-enqueued a unit that was
-    still executing, and nobody ever learned why.
-    """
-
-    def __init__(self, path: str, interval: float) -> None:
-        self._path = path
-        self._interval = max(0.05, interval)
-        self._stop = threading.Event()
-        #: Set when the beat thread died unexpectedly: the lease can
-        #: no longer be trusted to stay fresh.
-        self.failed = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        try:
-            while not self._stop.wait(self._interval):
-                try:
-                    _touch(self._path)
-                except FileNotFoundError:
-                    # The dispatcher re-enqueued (or the run was torn
-                    # down); nothing left to keep alive.
-                    return
-                except OSError:
-                    # Transient filesystem hiccup (NFS, EIO): keep
-                    # beating — exiting here would make a healthy
-                    # worker look dead and burn an attempt for
-                    # nothing.
-                    continue
-        except BaseException:
-            self._mark_dead()
-
-    def _mark_dead(self) -> None:
-        """Record the thread's death in the lease doc and go stale."""
-        self.failed.set()
-        try:
-            with open(self._path) as handle:
-                doc = json.load(handle)
-            doc["heartbeat_alive"] = False
-            atomic_write_bytes(self._path, json.dumps(doc).encode())
-            # Force the mtime stale so the dispatcher's age check
-            # expires the lease on its next poll (the doc rewrite
-            # above would otherwise have *refreshed* it).
-            os.utime(self._path, (0.0, 0.0))
-        except (OSError, ValueError):
-            pass  # best effort — the stale mtime will expire eventually
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join()
+def _read_json(path: str) -> Optional[Dict[str, Any]]:
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
 
 
 def _claim_next(queue_dir: str) -> Optional[str]:
@@ -299,7 +291,8 @@ def _release_lease(lease_path: str, worker_id: str) -> None:
         return
     # Someone else's lease (or an unstamped claim): restore it.  The
     # capture window is a few syscalls wide; a successor heartbeat
-    # touching the momentarily-missing path merely skips one beat.  If
+    # landing in it reports the lease lost, which costs nothing: the
+    # release follows an accepted post, whose result is collected.  If
     # the successor re-wrote the path meanwhile (its ownership stamp),
     # the newer doc wins and the stale capture is dropped instead of
     # renamed over it.
@@ -312,80 +305,461 @@ def _release_lease(lease_path: str, worker_id: str) -> None:
         pass
 
 
-def run_unit_doc(doc: Dict[str, Any], worker_id: str) -> Dict[str, Any]:
-    """Execute one wire-form unit doc; the result doc to publish.
+def _mark_lease_dead(lease_path: str) -> None:
+    """Record a dead heartbeat thread in the lease doc and go stale."""
+    try:
+        with open(lease_path) as handle:
+            doc = json.load(handle)
+        doc["heartbeat_alive"] = False
+        atomic_write_bytes(lease_path, json.dumps(doc).encode())
+        # Force the mtime stale so the dispatcher's age check
+        # expires the lease on its next poll (the doc rewrite
+        # above would otherwise have *refreshed* it).
+        os.utime(lease_path, (0.0, 0.0))
+    except (OSError, ValueError):
+        pass  # best effort — the stale mtime will expire eventually
 
-    The single execution path every worker transport shares (the
-    filesystem queue's :func:`_execute_claimed` and the HTTP worker in
-    :mod:`repro.backends.coordinator`): kind-module side-effect import,
-    payload computation, and clean-failure capture — so a unit doc
-    produces byte-identical result docs no matter which transport
-    delivered it.
+
+class DirectoryQueueStore:
+    """The queue as one directory: every on-disk queue operation.
+
+    Each primitive works purely against the directory, which is the
+    whole crash-restart story: a restarted dispatcher or coordinator
+    rebuilds its world from the files.  Cross-process safety comes
+    from the file operations themselves — rename claims, atomic
+    writes, tombstone lease releases — so dispatchers and workers in
+    other processes may share the directory without a lock.
     """
+
+    #: Seconds within which a ``workers/<id>.json`` mtime counts as a
+    #: live idle worker for :meth:`stats` (busy workers advertise
+    #: through their stamped lease instead).
+    worker_fresh = 5.0
+
+    def __init__(self, queue_dir: str) -> None:
+        self.queue_dir = queue_dir
+        self.worker_args = f"--queue {queue_dir}"
+        ensure_queue_dirs(queue_dir)
+
+    # -- worker side ---------------------------------------------------------
+
+    def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
+        """Claim the next unit, stamped with its owner.
+
+        The answer carries the queue-wide ``stop`` and this worker's
+        ``retire`` verdicts (its ``workers/<id>.stop`` sentinel), both
+        checked only between units so a draining worker always
+        finishes the lease it holds.
+        """
+        info_path = _worker_info_path(self.queue_dir, worker_id)
+        if os.path.exists(_stop_path(self.queue_dir)):
+            _cleanup_worker_files(self.queue_dir, worker_id)
+            return {"unit": None, "stop": True, "retire": False}
+        if os.path.exists(_worker_stop_path(self.queue_dir, worker_id)):
+            _cleanup_worker_files(self.queue_dir, worker_id)
+            return {"unit": None, "stop": False, "retire": True}
+        # The claim poll doubles as the worker's idle liveness beat.
+        try:
+            os.utime(info_path)
+        except OSError:
+            atomic_write_bytes(
+                info_path,
+                json.dumps({
+                    "worker_id": worker_id,
+                    "host": host,
+                    "started": time.time(),
+                }).encode(),
+            )
+        unit_id = _claim_next(self.queue_dir)
+        if unit_id is None:
+            return {"unit": None, "stop": False, "retire": False}
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        doc = _read_json(lease_path)
+        if doc is None:
+            # Claim raced a re-enqueue or cancel (or the doc is torn):
+            # nothing to hand out this round.
+            return {"unit": None, "stop": False, "retire": False}
+        # Stamp ownership (refreshing the heartbeat) before the doc is
+        # handed out, so a slow predecessor finishing late cannot tear
+        # down this lease.
+        doc["worker"] = worker_id
+        doc["host"] = host
+        atomic_write_bytes(lease_path, json.dumps(doc).encode())
+        return {"unit": doc, "stop": False, "retire": False}
+
+    def heartbeat(self, unit_id: str, worker_id: str) -> bool:
+        """Refresh the lease if ``worker_id`` still owns it.
+
+        False once the lease is gone or belongs to someone else; other
+        filesystem errors raise (transient — the caller keeps beating).
+        """
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        doc = _read_json(lease_path)
+        if doc is None or doc.get("worker") != worker_id:
+            return False
+        try:
+            _touch(lease_path)
+        except FileNotFoundError:
+            return False
+        return True
+
+    def mark_dead(self, unit_id: str) -> None:
+        _mark_lease_dead(_lease_path(self.queue_dir, unit_id))
+
+    def post_result(
+        self, unit_id: str, worker_id: str, attempt: int, body: bytes
+    ) -> bool:
+        """Publish a result; False when the post is stale/duplicate.
+
+        Accepted only while (a) no result is already on disk and (b)
+        the unit's current doc — its lease, or its task file if it was
+        re-enqueued but not yet re-claimed — still carries the posting
+        attempt.  A re-enqueue increments the attempt, so a slow
+        predecessor's late post fails the check and is dropped without
+        touching the successor's lease.  A unit with no doc at all was
+        cancelled (or already finished and was collected): dropped
+        too.  The lease is released through :func:`_release_lease`,
+        never a read-then-unlink.
+        """
+        result_path = _result_path(self.queue_dir, unit_id)
+        if os.path.exists(result_path):
+            return False
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        doc = _read_json(lease_path)
+        leased = doc is not None
+        if not leased:
+            doc = _read_json(_task_path(self.queue_dir, unit_id))
+        if doc is None or int(doc.get("attempt", 1)) != attempt:
+            return False
+        atomic_write_bytes(result_path, body)
+        if leased:
+            _release_lease(lease_path, worker_id)
+        return True
+
+    # -- dispatcher side -----------------------------------------------------
+
+    def submit(self, doc: Dict[str, Any]) -> None:
+        unit_id = str(doc["unit_id"])
+        # Unit ids are deterministic, so a reused queue directory may
+        # hold this id's leftovers from an earlier campaign (a
+        # consumed-then-raised error result, an orphaned lease, a
+        # cancelled task).  Sweep them, or the dispatcher would replay
+        # the stale outcome instead of dispatching fresh work.
+        for stale in (
+            _result_path(self.queue_dir, unit_id),
+            _lease_path(self.queue_dir, unit_id),
+            _task_path(self.queue_dir, unit_id),
+        ):
+            try:
+                os.unlink(stale)
+            except FileNotFoundError:
+                pass
+        atomic_write_bytes(
+            _task_path(self.queue_dir, unit_id),
+            json.dumps(doc).encode(),
+        )
+
+    def poll(
+        self, unit_ids: List[str], cancelled: List[str]
+    ) -> Dict[str, Any]:
+        """One dispatcher round trip: readiness + lease ages + sweep."""
+        ready: List[str] = []
+        lease_ages: Dict[str, Optional[float]] = {}
+        now = time.time()
+        for unit_id in unit_ids:
+            if os.path.exists(_result_path(self.queue_dir, unit_id)):
+                ready.append(unit_id)
+            try:
+                mtime = os.stat(
+                    _lease_path(self.queue_dir, unit_id)
+                ).st_mtime
+                lease_ages[unit_id] = now - mtime
+            except OSError:
+                lease_ages[unit_id] = None
+        swept: List[str] = []
+        for unit_id in cancelled:
+            try:
+                os.unlink(_result_path(self.queue_dir, unit_id))
+                swept.append(unit_id)
+            except FileNotFoundError:
+                pass
+        return {"ready": ready, "lease_ages": lease_ages, "swept": swept}
+
+    def read_result(self, unit_id: str) -> Optional[bytes]:
+        try:
+            with open(_result_path(self.queue_dir, unit_id), "rb") as f:
+                return f.read()
+        except OSError:
+            return None
+
+    def delete_result(self, unit_id: str) -> bool:
+        """Consume a result (plus any task/lease litter for the id)."""
+        removed = False
+        try:
+            os.unlink(_result_path(self.queue_dir, unit_id))
+            removed = True
+        except FileNotFoundError:
+            pass
+        for path in (
+            _lease_path(self.queue_dir, unit_id),
+            _task_path(self.queue_dir, unit_id),
+        ):
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+        return removed
+
+    def requeue(
+        self, unit_id: str, doc: Dict[str, Any], quarantine: bool
+    ) -> Dict[str, Any]:
+        """Re-enqueue an expired/corrupt unit with a fresh attempt doc.
+
+        Collect-before-requeue: if a result landed for the unit (the
+        worker was slow, not dead), the requeue is refused and the
+        dispatcher collects instead — unless ``quarantine`` is set,
+        which means the dispatcher already read that result and found
+        it corrupt; then the evidence moves to ``corrupt/`` first and
+        the retry proceeds.
+        """
+        result_path = _result_path(self.queue_dir, unit_id)
+        quarantined = None
+        if os.path.exists(result_path):
+            if not quarantine:
+                return {"requeued": False, "has_result": True}
+            quarantined = quarantine_file(self.queue_dir, result_path)
+        try:
+            os.unlink(_lease_path(self.queue_dir, unit_id))
+        except FileNotFoundError:
+            pass
+        atomic_write_bytes(
+            _task_path(self.queue_dir, unit_id),
+            json.dumps(doc).encode(),
+        )
+        return {
+            "requeued": True, "has_result": False,
+            "quarantined": quarantined,
+        }
+
+    def cancel(self, unit_ids: List[str]) -> Dict[str, Dict[str, bool]]:
+        removed: Dict[str, Dict[str, bool]] = {}
+        for unit_id in unit_ids:
+            stages = {}
+            for stage, path in (
+                ("task", _task_path(self.queue_dir, unit_id)),
+                ("lease", _lease_path(self.queue_dir, unit_id)),
+                ("result", _result_path(self.queue_dir, unit_id)),
+            ):
+                try:
+                    os.unlink(path)
+                    stages[stage] = True
+                except FileNotFoundError:
+                    stages[stage] = False
+            removed[unit_id] = stages
+        return removed
+
+    def set_stop(self, stopped: bool) -> None:
+        if stopped:
+            atomic_write_bytes(_stop_path(self.queue_dir), b"")
+        else:
+            try:
+                os.unlink(_stop_path(self.queue_dir))
+            except FileNotFoundError:
+                pass
+
+    def stats(self) -> Dict[str, Any]:
+        """Queue depths and live workers per host: the ``repro status``
+        snapshot's counts, in the ``GET /stats`` shape."""
+        from repro.telemetry.status import queue_dir_status
+
+        doc = queue_dir_status(
+            self.queue_dir, heartbeat_fresh=self.worker_fresh
+        )
+        doc["leases"] = len(doc["leases"])
+        del doc["workers"]
+        return doc
+
+
+# -- the worker --------------------------------------------------------------
+
+
+class _Heartbeat:
+    """Keeps one claimed unit's lease fresh on a background thread, so
+    the dispatcher can tell a slow worker from a dead one.
+
+    ``lease`` is the unit id under ``store``; without a store it is a
+    bare lease-file path whose mtime is the beat.  A beat that reports
+    the lease gone or owned by someone else (expired and re-claimed,
+    or cancelled) sets :attr:`lost` and stops: the worker must skip
+    its publish — a successor owns the unit now, and the stale
+    attempt's post would be refused anyway.  Filesystem/connection
+    errors (``OSError``) are ridden out: exiting there would make a
+    healthy worker look dead and burn an attempt for nothing.
+
+    Thread death is **not** silent: if the beat loop raises, the
+    thread sets :attr:`failed` and marks the lease dead
+    (``heartbeat_alive: false``, mtime forced stale), so the
+    dispatcher re-enqueues promptly instead of waiting out the full
+    lease timeout — and the worker aborts the unit instead of
+    publishing a result for a lease it no longer keeps alive (the
+    re-enqueued attempt recomputes the identical payload).
+    """
+
+    def __init__(
+        self,
+        lease: str,
+        interval: float,
+        store: Optional[QueueStore] = None,
+        worker_id: Optional[str] = None,
+    ) -> None:
+        self._lease = lease
+        self._store = store
+        self._worker_id = worker_id
+        self._interval = max(0.05, interval)
+        self._stop = threading.Event()
+        #: Set when a beat found the lease gone or re-owned.
+        self.lost = threading.Event()
+        #: Set when the beat thread died unexpectedly: the lease can
+        #: no longer be trusted to stay fresh.
+        self.failed = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _beat(self) -> bool:
+        if self._store is not None:
+            return self._store.heartbeat(self._lease, self._worker_id)
+        try:
+            _touch(self._lease)
+        except FileNotFoundError:
+            return False
+        return True
+
+    def _run(self) -> None:
+        try:
+            while not self._stop.wait(self._interval):
+                try:
+                    alive = self._beat()
+                except OSError:
+                    continue  # transient hiccup (NFS, EIO, network)
+                if not alive:
+                    self.lost.set()
+                    return
+        except BaseException:
+            self.failed.set()
+            if self._store is not None:
+                self._store.mark_dead(self._lease)
+            else:
+                _mark_lease_dead(self._lease)
+
+    def __enter__(self) -> "_Heartbeat":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._thread.join()
+
+
+def _execute_claimed(
+    store: QueueStore, doc: Dict[str, Any], worker_id: str
+) -> Optional[bool]:
+    """Run one claimed unit doc under its heartbeat and publish it.
+
+    The kind-module side-effect import, payload computation and
+    clean-failure capture all happen here, so a unit doc produces
+    byte-identical result docs no matter which store delivered it.
+    True/False for success/failure; None when nothing was published —
+    the heartbeat reported the lease lost or died mid-unit, or the
+    store refused the post (a stale attempt, a cancelled unit).
+    """
+    unit_id = str(doc["unit_id"])
     result: Dict[str, Any] = {
         "worker": worker_id,
         "attempt": int(doc.get("attempt", 1)),
     }
-    started, cpu0 = time.time(), time.process_time()
-    try:
-        module = doc.get("kind_module")
-        if module:
-            # Registers kinds defined outside the built-ins (same
-            # trick as pickling run-fn references to a process pool:
-            # importing the module re-runs its register_experiment
-            # side effects).
-            importlib.import_module(module)
-        payload, elapsed = execute_unit(WorkUnit.from_doc(doc))
-        # Phase timings are execution-only metadata riding next to
-        # the payload (like EXECUTION_PARAMS stays out of spec
-        # identity): telemetry reads them, payload bytes never
-        # depend on them.
-        result.update(
-            ok=True, payload=payload, elapsed=elapsed,
-            timings=stamp_timings(started, cpu0),
-        )
-    except Exception:
-        result.update(ok=False, error=traceback.format_exc())
-    return result
-
-
-def _execute_claimed(
-    queue_dir: str, unit_id: str, worker_id: str
-) -> Optional[bool]:
-    """Run one claimed unit and publish its result.
-
-    True/False for success/failure; None when the claim was lost
-    before execution (the dispatcher re-enqueued the unit between the
-    claim rename and this read — possible when the task file sat
-    unclaimed past the lease timeout, since the rename preserves its
-    stale mtime).
-    """
-    lease_path = _lease_path(queue_dir, unit_id)
-    try:
-        with open(lease_path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        return None
-    # Stamp ownership (and refresh the heartbeat) so a slow
-    # predecessor finishing late cannot tear down this lease.
-    doc["worker"] = worker_id
-    atomic_write_bytes(lease_path, json.dumps(doc).encode())
-    heartbeat = _Heartbeat(lease_path, float(doc.get("heartbeat", 5.0)))
-    with heartbeat:
-        result = run_unit_doc(doc, worker_id)
-    if heartbeat.failed.is_set():
-        # The beat thread died mid-unit: the lease went stale with us
-        # still executing, so the dispatcher has (or will) re-enqueue
-        # this unit to a healthy worker.  Abort — publishing now would
-        # claim an outcome for a lease we stopped keeping alive; the
-        # retry recomputes the identical payload.
-        return None
-    atomic_write_bytes(
-        _result_path(queue_dir, unit_id),
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+    heartbeat = _Heartbeat(
+        unit_id, float(doc.get("heartbeat", 5.0)), store, worker_id
     )
-    _release_lease(lease_path, worker_id)
+    with heartbeat:
+        started, cpu0 = time.time(), time.process_time()
+        try:
+            module = doc.get("kind_module")
+            if module:
+                # Registers kinds defined outside the built-ins (same
+                # trick as pickling run-fn references to a process
+                # pool: importing the module re-runs its
+                # register_experiment side effects).
+                importlib.import_module(module)
+            payload, elapsed = execute_unit(WorkUnit.from_doc(doc))
+            # Phase timings are execution-only metadata riding next to
+            # the payload (like EXECUTION_PARAMS stays out of spec
+            # identity): telemetry reads them, payload bytes never
+            # depend on them.
+            result.update(
+                ok=True, payload=payload, elapsed=elapsed,
+                timings=stamp_timings(started, cpu0),
+            )
+        except Exception:
+            result.update(ok=False, error=traceback.format_exc())
+    if heartbeat.lost.is_set() or heartbeat.failed.is_set():
+        return None
+    body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    if not store.post_result(unit_id, worker_id, result["attempt"], body):
+        return None
     return bool(result["ok"])
+
+
+def _serve_store(
+    store: QueueStore,
+    worker_id: Optional[str],
+    *,
+    poll_interval: float,
+    max_idle: Optional[float],
+    echo: bool,
+) -> int:
+    """The worker loop over any store; returns units executed.
+
+    Claims and executes units until the claim answers ``stop`` (the
+    queue-wide sentinel) or ``retire`` (this worker's own sentinel)
+    or — when ``max_idle`` is set — no work arrived for that many
+    seconds.  Workers are stateless: everything a unit needs rides in
+    its doc, so any number of workers on any hosts can serve one
+    campaign.
+    """
+    worker_id = worker_id or f"{_host_label()}-{os.getpid()}"
+    host = _host_label()
+    if echo:
+        print(f"[worker {worker_id}] serving {store.worker_args}",
+              file=sys.stderr, flush=True)
+    executed = 0
+    idle_since = time.monotonic()
+    while True:
+        answer = store.claim(worker_id, host)
+        if answer.get("stop") or answer.get("retire"):
+            if echo and answer.get("retire"):
+                print(f"[worker {worker_id}] retiring on request",
+                      file=sys.stderr, flush=True)
+            break
+        doc = answer.get("unit")
+        if doc is None:
+            if (max_idle is not None
+                    and time.monotonic() - idle_since > max_idle):
+                break
+            time.sleep(poll_interval)
+            continue
+        ok = _execute_claimed(store, doc, worker_id)
+        # Time spent on a unit is never idle time, published or not.
+        idle_since = time.monotonic()
+        if echo:
+            status = ("dropped (lease lost or stale attempt)"
+                      if ok is None else "done" if ok else "FAILED")
+            print(f"[worker {worker_id}] {doc['unit_id']}: {status}",
+                  file=sys.stderr, flush=True)
+        if ok is not None:
+            executed += 1
+    if echo:
+        print(f"[worker {worker_id}] exiting after {executed} unit(s)",
+              file=sys.stderr, flush=True)
+    return executed
 
 
 def worker_loop(
@@ -396,69 +770,14 @@ def worker_loop(
     max_idle: Optional[float] = None,
     echo: bool = True,
 ) -> int:
-    """The ``repro worker`` main loop; returns units executed.
-
-    Claims and executes units until the queue's ``stop`` sentinel (or
-    this worker's own ``workers/<id>.stop`` retirement sentinel)
-    appears or — when ``max_idle`` is set — no work arrived for that
-    many seconds.  Both sentinels are checked only between units, so a
-    draining worker always finishes the lease it holds.  The worker's
-    ``workers/<id>.json`` info file doubles as a liveness heartbeat
-    (touched every loop iteration while idle; a busy worker's
-    liveness shows in its lease instead).  Workers are stateless:
-    everything a unit needs rides in its task document, so any number
-    of workers on any hosts sharing the directory can serve one
-    campaign.
-    """
-    worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    ensure_queue_dirs(queue_dir)
-    info_path = _worker_info_path(queue_dir, worker_id)
-    atomic_write_bytes(
-        info_path,
-        json.dumps({
-            "worker_id": worker_id,
-            "host": socket.gethostname(),
-            "pid": os.getpid(),
-            "started": time.time(),
-        }).encode(),
+    """The ``repro worker --queue DIR`` main loop; returns units
+    executed (see :func:`_serve_store`).  The worker's
+    ``workers/<id>.json`` info file doubles as its idle liveness
+    heartbeat; a busy worker's liveness shows in its lease instead."""
+    return _serve_store(
+        DirectoryQueueStore(queue_dir), worker_id,
+        poll_interval=poll_interval, max_idle=max_idle, echo=echo,
     )
-    if echo:
-        print(f"[worker {worker_id}] serving queue {queue_dir}",
-              file=sys.stderr, flush=True)
-    executed = 0
-    idle_since = time.monotonic()
-    while True:
-        if os.path.exists(_stop_path(queue_dir)):
-            break
-        if os.path.exists(_worker_stop_path(queue_dir, worker_id)):
-            if echo:
-                print(f"[worker {worker_id}] retiring on request",
-                      file=sys.stderr, flush=True)
-            break
-        try:
-            os.utime(info_path)
-        except OSError:
-            pass  # liveness is advisory; the loop matters more
-        unit_id = _claim_next(queue_dir)
-        if unit_id is None:
-            if (max_idle is not None
-                    and time.monotonic() - idle_since > max_idle):
-                break
-            time.sleep(poll_interval)
-            continue
-        ok = _execute_claimed(queue_dir, unit_id, worker_id)
-        if ok is None:
-            continue  # claim lost to a re-enqueue race; move on
-        if echo:
-            status = "done" if ok else "FAILED"
-            print(f"[worker {worker_id}] {unit_id}: {status}",
-                  file=sys.stderr, flush=True)
-        executed += 1
-        idle_since = time.monotonic()
-    if echo:
-        print(f"[worker {worker_id}] exiting after {executed} unit(s)",
-              file=sys.stderr, flush=True)
-    return executed
 
 
 # -- elastic worker supervision ----------------------------------------------
@@ -523,14 +842,22 @@ def _cleanup_worker_files(queue_dir: str, worker_id: str) -> None:
 
 
 def _spawn_worker_process(
-    queue_dir: str, worker_id: str, poll_interval: float
+    target: str,
+    worker_id: str,
+    poll_interval: float,
+    log_dir: Optional[str] = None,
 ) -> "tuple[subprocess.Popen, str]":
-    """Start one ``repro worker`` subprocess serving ``queue_dir``.
+    """Start one local ``repro worker`` subprocess serving ``target`` —
+    a queue directory, or a coordinator URL.
 
     Returns ``(process, log path)``; the worker's stdout/stderr land in
-    ``workers/<id>.log`` for post-mortem diagnostics.
+    ``<log_dir>/<id>.log`` (default: the queue's ``workers/``) for
+    post-mortem diagnostics.
     """
-    log_path = os.path.join(queue_dir, WORKERS_DIR, worker_id + ".log")
+    flag = "--coordinator" if "://" in target else "--queue"
+    log_dir = log_dir or os.path.join(target, WORKERS_DIR)
+    os.makedirs(log_dir, exist_ok=True)
+    log_path = os.path.join(log_dir, worker_id + ".log")
     env = dict(os.environ)
     # Guarantee the child resolves `repro` exactly as we do, even when
     # the package is importable only via sys.path mutations (pytest
@@ -541,7 +868,7 @@ def _spawn_worker_process(
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "worker",
-                "--queue", queue_dir,
+                flag, target,
                 "--worker-id", worker_id,
                 "--poll", str(poll_interval),
             ],
@@ -703,7 +1030,7 @@ class ElasticSupervisor:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         #: Guards the pool dicts: the supervisor's own loop thread and
-        #: the dispatcher thread (check_health, live_worker_count)
+        #: the dispatcher thread (check_health, workers_by_host)
         #: both reap.
         self._lock = threading.RLock()
 
@@ -791,18 +1118,6 @@ class ElasticSupervisor:
     def _fresh_external_workers(self) -> int:
         """Externally-started workers with a fresh idle heartbeat."""
         return len(self._fresh_externals())
-
-    def live_worker_count(self) -> int:
-        """Workers believed to be serving the queue right now (the
-        supervisor's own pool plus heartbeat-fresh externals)."""
-        with self._lock:
-            self._reap()
-            alive = sum(
-                1 for proc in self._retiring.values()
-                if proc.poll() is None
-            )
-            return len(self._procs) + alive \
-                + self._fresh_external_workers()
 
     def workers_by_host(self) -> Dict[str, int]:
         """Live workers aggregated per host: the supervisor's own pool
@@ -1067,9 +1382,388 @@ class ElasticSupervisor:
 # -- dispatcher side ---------------------------------------------------------
 
 
-class WorkQueueBackend(ExecutionBackend):
-    """Dispatches units through a filesystem queue to ``repro worker``
-    processes, with lease-based failure recovery.
+class QueueBackend(ExecutionBackend):
+    """Dispatches units through a :class:`QueueStore` to workers, with
+    lease-based failure recovery — the one queue state machine.
+
+    It owns the outstanding/attempts/cancelled-id bookkeeping and
+    every failure rule: collect-before-requeue, lease-expiry
+    re-enqueue bounded by ``max_attempts``, quarantine-and-requeue of
+    corrupt results, the ``heartbeat_gap`` tripwire, the idle
+    watchdog, the spawned-pool health check and the straggler sweep.
+    :class:`WorkQueueBackend` and
+    :class:`~repro.backends.coordinator.HttpQueueBackend` only bind it
+    to a store.
+    """
+
+    def __init__(
+        self,
+        store: QueueStore,
+        *,
+        lease_timeout: float,
+        poll_interval: float,
+        max_attempts: int,
+        idle_timeout: Optional[float],
+        telemetry,
+    ) -> None:
+        if lease_timeout <= 0:
+            raise ValueError("lease_timeout must be positive")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        self.store = store
+        self.lease_timeout = lease_timeout
+        self.poll_interval = poll_interval
+        self.max_attempts = max_attempts
+        self.idle_timeout = idle_timeout
+        #: Optional :class:`repro.telemetry.sink.TelemetrySink` for
+        #: the queue's fault-recovery events (heartbeat gaps, lease
+        #: expiries, requeues, quarantines).
+        self.telemetry = telemetry
+        #: ``(unit, attempt)`` pairs already warned about via a
+        #: heartbeat_gap event — one early warning per delivery.
+        self._gap_warned: Set[Tuple[str, int]] = set()
+        self._outstanding: Dict[str, WorkUnit] = {}
+        self._attempts: Dict[str, int] = {}
+        #: Cancelled unit ids whose straggler results must be swept.
+        self._cancelled_ids: Set[str] = set()
+        self._procs: List[subprocess.Popen] = []
+        self._log_paths: List[str] = []
+        self._launcher: Optional[WorkerLauncher] = None
+        self.supervisor: Optional[ElasticSupervisor] = None
+        # A stale sentinel from a previous campaign would make fresh
+        # workers exit immediately.
+        store.set_stop(False)
+
+    def _emit(self, type_: str, **fields: Any) -> None:
+        if self.telemetry is not None:
+            self.telemetry.emit(make_event(type_, **fields))
+
+    # -- worker management ---------------------------------------------------
+
+    def _spawn_pool(self, launcher: WorkerLauncher, count: int) -> None:
+        """Start a fixed pool of ``count`` local workers."""
+        self._launcher = launcher
+        for index in range(count):
+            # Host-qualified for the same reason as the elastic ids:
+            # two dispatch hosts sharing one queue must not collide on
+            # a coincidental pid match.
+            worker_id = f"spawned-{launcher.host}-{os.getpid()}-{index}"
+            proc, log_path = launcher.launch(worker_id, self.poll_interval)
+            self._procs.append(proc)
+            self._log_paths.append(log_path)
+            self._emit("worker_spawn", worker=worker_id, host=launcher.host)
+
+    def live_worker_count(self) -> Optional[int]:
+        """Workers serving the queue, or None when unknowable (see
+        :meth:`workers_by_host`)."""
+        by_host = self.workers_by_host()
+        return None if by_host is None else sum(by_host.values())
+
+    def workers_by_host(self) -> Optional[Dict[str, int]]:
+        """Live workers per host: the elastic pool's view, else the
+        spawned pool's, else the store's whole-fleet ``stats`` (None
+        only when that call fails)."""
+        if self.supervisor is not None:
+            return self.supervisor.workers_by_host()
+        if self._procs:
+            alive = sum(
+                1 for proc in self._procs if proc.poll() is None
+            )
+            return {self._launcher.host: alive} if alive else {}
+        try:
+            by_host = self.store.stats().get("workers_by_host")
+        except Exception:
+            return None  # a progress gauge must never fail a campaign
+        return dict(by_host) if isinstance(by_host, dict) else None
+
+    def _check_spawned(self) -> None:
+        if not self._outstanding:
+            return
+        if self.supervisor is not None:
+            # Elastic pools shrink to empty by design; what must not
+            # pass silently is workers crashing as fast as they spawn.
+            self.supervisor.check_health()
+            return
+        if not self._procs:
+            return
+        if any(proc.poll() is None for proc in self._procs):
+            return
+        raise RuntimeError(
+            "all spawned workers exited with "
+            f"{len(self._outstanding)} unit(s) outstanding\n"
+            + _log_tails(self._log_paths)
+        )
+
+    # -- submission ----------------------------------------------------------
+
+    def _task_doc(self, unit: WorkUnit, attempt: int) -> Dict[str, Any]:
+        doc = unit.to_doc()
+        doc["attempt"] = attempt
+        # Workers heartbeat a few times per lease window so one missed
+        # beat (scheduler hiccup, slow NFS) is not a death sentence.
+        doc["heartbeat"] = max(0.05, self.lease_timeout / 4.0)
+        return doc
+
+    def submit(self, unit: WorkUnit) -> None:
+        if unit.unit_id in self._outstanding:
+            raise ValueError(f"unit {unit.unit_id!r} already submitted")
+        self._cancelled_ids.discard(unit.unit_id)
+        self._outstanding[unit.unit_id] = unit
+        self._attempts[unit.unit_id] = 1
+        # The store sweeps the id's stale leftovers (reused queue)
+        # before writing the fresh task doc.
+        self.store.submit(self._task_doc(unit, attempt=1))
+
+    # -- completion ----------------------------------------------------------
+
+    def completions(self) -> Iterator[WorkResult]:
+        last_alive = time.monotonic()
+        while self._outstanding:
+            progressed = False
+            poll = self.store.poll(
+                list(self._outstanding), list(self._cancelled_ids)
+            )
+            self._cancelled_ids.difference_update(poll["swept"])
+            for unit_id in poll["ready"]:
+                result = self._collect(unit_id)
+                if result is not None:
+                    progressed = True
+                    yield result
+            # Expiry pass second: a result that landed while its lease
+            # was going stale is *collected* there, never re-enqueued.
+            lease_ages = poll["lease_ages"]
+            for result in self._requeue_expired(lease_ages):
+                progressed = True
+                yield result
+            if progressed or any(
+                age is not None and age <= self.lease_timeout
+                for unit_id, age in lease_ages.items()
+                if unit_id in self._outstanding
+            ):
+                last_alive = time.monotonic()
+            if not self._outstanding:
+                break
+            if not progressed:
+                self._check_spawned()
+                if (self.idle_timeout is not None
+                        and time.monotonic() - last_alive
+                        > self.idle_timeout):
+                    raise RuntimeError(
+                        f"queue idle for {self.idle_timeout:.0f}s "
+                        f"with {len(self._outstanding)} unit(s) "
+                        "outstanding — are any workers running? "
+                        "(start one with: repro worker "
+                        f"{self.store.worker_args})"
+                    )
+                time.sleep(self.poll_interval)
+
+    def _collect(self, unit_id: str) -> Optional[WorkResult]:
+        body = self.store.read_result(unit_id)
+        if body is None:
+            return None
+        unit = self._outstanding.get(unit_id)
+        if unit is None:
+            # Cancelled mid-drain, but a straggler worker published its
+            # result after the cancel swept the queue: consume the
+            # orphan now so a reused queue never replays it.
+            self.store.delete_result(unit_id)
+            return None
+        try:
+            doc = pickle.loads(body)
+        except Exception:
+            # Truncated/corrupt result document (a torn write on a
+            # non-atomic shared filesystem, disk trouble).  Treating
+            # it as absent would re-parse and re-fail it on every poll
+            # forever — the dispatcher would sit on a unit that can
+            # never complete.  Quarantine the evidence and re-enqueue
+            # the unit (counting against max_attempts, like any other
+            # failed delivery).
+            self._quarantine_and_requeue(unit_id, unit)
+            return None
+        # Consume the result (an error one too: leaving it would make
+        # a reused queue replay this failure forever).
+        self.store.delete_result(unit_id)
+        if not doc.get("ok"):
+            raise RuntimeError(
+                f"unit {unit_id} ({unit.label}) failed on worker "
+                f"{doc.get('worker')}:\n{doc.get('error')}"
+            )
+        attempts = self._attempts.pop(unit_id)
+        del self._outstanding[unit_id]
+        return WorkResult(
+            unit=unit,
+            payload=doc["payload"],
+            elapsed=float(doc.get("elapsed", 0.0)),
+            worker=doc.get("worker"),
+            attempts=attempts,
+            timings=doc.get("timings"),
+        )
+
+    def _quarantine_and_requeue(self, unit_id: str, unit: WorkUnit) -> None:
+        """Handle a corrupt result: preserve it, retry the unit.
+
+        The store moves the corrupt document to ``corrupt/`` (atomic
+        rename, so no poll ever re-reads it) and puts the unit back
+        with an incremented attempt — bounded by ``max_attempts``, so
+        a filesystem that keeps tearing writes fails the campaign with
+        a diagnosis instead of looping forever.
+        """
+        attempt = self._attempts[unit_id] + 1
+        if attempt > self.max_attempts:
+            raise RuntimeError(
+                f"unit {unit_id} ({unit.label}): corrupt result "
+                f"document and the {self.max_attempts}-attempt budget "
+                "is exhausted — is the queue filesystem tearing writes?"
+            )
+        answer = self.store.requeue(
+            unit_id, self._task_doc(unit, attempt), quarantine=True
+        )
+        self._attempts[unit_id] = attempt
+        if answer.get("quarantined"):
+            self._emit(
+                "quarantine", unit=unit_id, path=answer["quarantined"]
+            )
+        self._emit("requeue", unit=unit_id, attempt=attempt)
+
+    def _requeue_expired(
+        self, lease_ages: Dict[str, Optional[float]]
+    ) -> List[WorkResult]:
+        """Re-enqueue outstanding units whose worker stopped
+        heartbeating; the late results collected instead.
+
+        **Collect-before-requeue**: a worker publishes its result
+        *before* releasing its lease, so a result landing while the
+        lease is being expired means the unit finished.  The store
+        refuses the requeue (``has_result``) and the result is
+        collected and returned (for :meth:`completions` to yield), so
+        a slow-but-successful worker never burns an attempt from
+        ``max_attempts`` — or, worse, exhausts the budget and fails a
+        campaign whose result is sitting in the queue.  Every expiry
+        journals ``lease_expired`` — the one that exhausts the budget
+        too, so a campaign failing from dying workers leaves the whole
+        chain to narrate.
+        """
+        collected: List[WorkResult] = []
+        for unit_id, unit in list(self._outstanding.items()):
+            age = lease_ages.get(unit_id)
+            if age is None:
+                continue
+            attempt = self._attempts[unit_id]
+            if age <= self.lease_timeout:
+                # Early warning: the lease aged past half its window
+                # without a heartbeat — the worker is struggling (or
+                # its beat thread is), even if it recovers.  One
+                # event per delivery attempt.
+                if (age > self.lease_timeout / 2.0
+                        and (unit_id, attempt) not in self._gap_warned):
+                    self._gap_warned.add((unit_id, attempt))
+                    self._emit(
+                        "heartbeat_gap", unit=unit_id,
+                        age=round(age, 3), attempt=attempt,
+                    )
+                continue
+            if attempt < self.max_attempts:
+                answer = self.store.requeue(
+                    unit_id, self._task_doc(unit, attempt + 1),
+                    quarantine=False,
+                )
+                if answer.get("has_result"):
+                    result = self._collect(unit_id)
+                    if result is not None:
+                        collected.append(result)
+                    continue
+            else:
+                # No retry left: only a result that landed meanwhile
+                # can still complete the unit.
+                result = self._collect(unit_id)
+                if result is not None:
+                    collected.append(result)
+                    continue
+            self._emit(
+                "lease_expired", unit=unit_id,
+                age=round(age, 3), attempt=attempt,
+            )
+            if attempt >= self.max_attempts:
+                raise RuntimeError(
+                    f"unit {unit_id} ({unit.label}): lease expired and "
+                    f"the {self.max_attempts}-attempt budget is "
+                    "exhausted (workers keep dying mid-unit?)"
+                )
+            self._attempts[unit_id] = attempt + 1
+            self._emit("requeue", unit=unit_id, attempt=attempt + 1)
+        return collected
+
+    # -- teardown ------------------------------------------------------------
+
+    def cancel(self) -> None:
+        self.cancel_units(list(self._outstanding))
+
+    def cancel_units(self, unit_ids: Iterable[str]) -> None:
+        """Withdraw specific outstanding units from the queue.
+
+        Unclaimed tasks are removed so no worker ever picks them up.
+        A unit some worker already *claimed* is cancelled too: its
+        lease is removed — the executing worker cannot be interrupted
+        mid-unit, but its heartbeat finds the lease gone and it skips
+        its publish; a straggler result that lands anyway is swept by
+        the next :meth:`completions` poll or at :meth:`close`.  Any
+        result that already landed is removed now — a reused queue
+        must not replay a cancelled unit's outcome.
+        """
+        ids = [u for u in unit_ids if u in self._outstanding]
+        if not ids:
+            return
+        removed = self.store.cancel(ids)
+        for unit_id in ids:
+            stages = removed.get(unit_id, {})
+            # Track the id for the straggler sweep only when a worker
+            # might still publish it — tracking ids that cannot
+            # straggle would grow _cancelled_ids (and its per-poll
+            # sweep) for the life of a long-lived backend.  The
+            # dispatcher's own attempt count is authoritative:
+            # attempts > 1 means a presumed-dead predecessor may yet
+            # finish; otherwise only a current claimant (task already
+            # gone) that has not yet published can.
+            straggler_possible = (
+                self._attempts[unit_id] > 1
+                or (not stages.get("task") and not stages.get("result"))
+            )
+            if straggler_possible:
+                self._cancelled_ids.add(unit_id)
+            del self._outstanding[unit_id]
+            del self._attempts[unit_id]
+
+    def close(self) -> None:
+        """Stop spawned/elastic workers (via the ``stop`` sentinel,
+        then escalating) and sweep cancelled units' straggler results.
+        External workers keep running — set/clear the sentinel
+        yourself to manage them."""
+        if self._procs or self.supervisor is not None:
+            try:
+                self.store.set_stop(True)
+            except Exception:
+                pass  # queue unreachable: stop the pool directly
+        if self.supervisor is not None:
+            self.supervisor.shutdown()
+            self.supervisor = None
+        if self._procs:
+            deadline = time.monotonic() + 10.0
+            for proc in self._procs:
+                _stop_proc(proc, deadline)
+            self._procs = []
+        # The workers are gone (or were never ours): any straggler
+        # result a cancelled unit left behind is final litter now.
+        if self._cancelled_ids:
+            try:
+                self.store.poll([], list(self._cancelled_ids))
+            except Exception:
+                pass  # best effort: the next submit sweeps the id too
+            self._cancelled_ids = set()
+
+
+class WorkQueueBackend(QueueBackend):
+    """A :class:`QueueBackend` over a queue directory, served by
+    ``repro worker --queue DIR`` processes.
 
     Parameters
     ----------
@@ -1116,10 +1810,6 @@ class WorkQueueBackend(ExecutionBackend):
         elastic_idle_grace: float = 2.0,
         telemetry=None,
     ) -> None:
-        if lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if min_workers is not None and max_workers is None:
             raise ValueError("min_workers needs max_workers (elastic mode)")
         if max_workers is not None and spawn_workers:
@@ -1127,33 +1817,15 @@ class WorkQueueBackend(ExecutionBackend):
                 "spawn_workers (fixed pool) and max_workers (elastic "
                 "pool) are mutually exclusive"
             )
+        super().__init__(
+            DirectoryQueueStore(queue_dir),
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            max_attempts=max_attempts,
+            idle_timeout=idle_timeout,
+            telemetry=telemetry,
+        )
         self.queue_dir = queue_dir
-        self.lease_timeout = lease_timeout
-        self.poll_interval = poll_interval
-        self.max_attempts = max_attempts
-        self.idle_timeout = idle_timeout
-        #: Optional :class:`repro.telemetry.sink.TelemetrySink` for
-        #: the queue's fault-recovery events (heartbeat gaps, lease
-        #: expiries, requeues, quarantines); shared with the attached
-        #: elastic supervisor.
-        self.telemetry = telemetry
-        #: ``(unit, attempt)`` pairs already warned about via a
-        #: heartbeat_gap event — one early warning per delivery.
-        self._gap_warned: Set[Tuple[str, int]] = set()
-        ensure_queue_dirs(queue_dir)
-        # A stale sentinel from a previous campaign would make fresh
-        # workers exit immediately.
-        try:
-            os.unlink(_stop_path(queue_dir))
-        except FileNotFoundError:
-            pass
-        self._outstanding: Dict[str, WorkUnit] = {}
-        self._attempts: Dict[str, int] = {}
-        #: Cancelled unit ids whose straggler results must be swept.
-        self._cancelled_ids: Set[str] = set()
-        self._procs: List[subprocess.Popen] = []
-        self._log_paths: List[str] = []
-        self.supervisor: Optional[ElasticSupervisor] = None
         if max_workers is not None:
             self.supervisor = ElasticSupervisor(
                 queue_dir,
@@ -1164,397 +1836,4 @@ class WorkQueueBackend(ExecutionBackend):
                 worker_poll=poll_interval,
                 telemetry=telemetry,
             ).start()
-        for index in range(spawn_workers):
-            self._spawn_worker(index)
-
-    # -- worker management ---------------------------------------------------
-
-    def _spawn_worker(self, index: int) -> None:
-        # Host-qualified for the same reason as the elastic ids: two
-        # dispatch hosts sharing one queue directory must not collide
-        # on a coincidental pid match.
-        worker_id = f"spawned-{_host_label()}-{os.getpid()}-{index}"
-        proc, log_path = _spawn_worker_process(
-            self.queue_dir, worker_id, self.poll_interval
-        )
-        self._procs.append(proc)
-        self._log_paths.append(log_path)
-        if self.telemetry is not None:
-            self.telemetry.emit(make_event(
-                "worker_spawn", worker=worker_id, host=_host_label(),
-            ))
-
-    def live_worker_count(self) -> Optional[int]:
-        """Workers serving the queue, or None when unknowable (no
-        spawned pool and no supervisor — externally-served queues
-        report through ``workers/`` heartbeats only, which this
-        dispatcher does not insist on)."""
-        if self.supervisor is not None:
-            return self.supervisor.live_worker_count()
-        if self._procs:
-            return sum(1 for proc in self._procs if proc.poll() is None)
-        return None
-
-    def workers_by_host(self) -> Optional[Dict[str, int]]:
-        """Live workers per host, or None when unknowable (same
-        conditions as :meth:`live_worker_count`)."""
-        if self.supervisor is not None:
-            return self.supervisor.workers_by_host()
-        if self._procs:
-            alive = sum(
-                1 for proc in self._procs if proc.poll() is None
-            )
-            return {_host_label(): alive} if alive else {}
-        return None
-
-    def _check_spawned(self) -> None:
-        if not self._outstanding:
-            return
-        if self.supervisor is not None:
-            # Elastic pools shrink to empty by design; what must not
-            # pass silently is workers crashing as fast as they spawn.
-            self.supervisor.check_health()
-            return
-        if not self._procs:
-            return
-        if any(proc.poll() is None for proc in self._procs):
-            return
-        raise RuntimeError(
-            "all spawned workers exited with "
-            f"{len(self._outstanding)} unit(s) outstanding\n"
-            + _log_tails(self._log_paths)
-        )
-
-    # -- submission ----------------------------------------------------------
-
-    def _task_doc(self, unit: WorkUnit, attempt: int) -> bytes:
-        doc = unit.to_doc()
-        doc["attempt"] = attempt
-        # Workers heartbeat a few times per lease window so one missed
-        # beat (scheduler hiccup, slow NFS) is not a death sentence.
-        doc["heartbeat"] = max(0.05, self.lease_timeout / 4.0)
-        return json.dumps(doc).encode()
-
-    def submit(self, unit: WorkUnit) -> None:
-        if unit.unit_id in self._outstanding:
-            raise ValueError(f"unit {unit.unit_id!r} already submitted")
-        # Unit ids are deterministic, so a reused queue directory may
-        # hold this id's leftovers from an earlier campaign (a
-        # consumed-then-raised error result, an orphaned lease, a
-        # cancelled task).  Sweep them, or completions() would replay
-        # the stale outcome instead of dispatching fresh work.
-        for stale in (
-            _result_path(self.queue_dir, unit.unit_id),
-            _lease_path(self.queue_dir, unit.unit_id),
-            _task_path(self.queue_dir, unit.unit_id),
-        ):
-            try:
-                os.unlink(stale)
-            except FileNotFoundError:
-                pass
-        self._cancelled_ids.discard(unit.unit_id)
-        self._outstanding[unit.unit_id] = unit
-        self._attempts[unit.unit_id] = 1
-        atomic_write_bytes(
-            _task_path(self.queue_dir, unit.unit_id),
-            self._task_doc(unit, attempt=1),
-        )
-
-    # -- completion ----------------------------------------------------------
-
-    def completions(self) -> Iterator[WorkResult]:
-        last_alive = time.monotonic()
-        while self._outstanding:
-            progressed = False
-            for unit_id in list(self._outstanding):
-                result = self._collect(unit_id)
-                if result is not None:
-                    progressed = True
-                    yield result
-            # Expiry pass second: a result that landed while its lease
-            # was going stale is *collected* there, never re-enqueued.
-            for result in self._requeue_expired():
-                progressed = True
-                yield result
-            self._sweep_cancelled()
-            if progressed or self._any_live_lease():
-                last_alive = time.monotonic()
-            if not self._outstanding:
-                break
-            if not progressed:
-                self._check_spawned()
-                if (self.idle_timeout is not None
-                        and time.monotonic() - last_alive
-                        > self.idle_timeout):
-                    raise RuntimeError(
-                        f"work queue idle for {self.idle_timeout:.0f}s "
-                        f"with {len(self._outstanding)} unit(s) "
-                        "outstanding — are any workers running? "
-                        f"(start one with: repro worker --queue "
-                        f"{self.queue_dir})"
-                    )
-                time.sleep(self.poll_interval)
-
-    def _collect(self, unit_id: str) -> Optional[WorkResult]:
-        path = _result_path(self.queue_dir, unit_id)
-        try:
-            with open(path, "rb") as handle:
-                doc = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Truncated/corrupt result document (a torn write on a
-            # non-atomic shared filesystem, disk trouble).  Treating
-            # it as absent would re-parse and re-fail it on every poll
-            # forever — the dispatcher would sit on a unit that can
-            # never complete.  Quarantine the evidence and re-enqueue
-            # the unit (counting against max_attempts, like any other
-            # failed delivery).
-            doc = None
-        unit = self._outstanding.get(unit_id)
-        if unit is None:
-            # Cancelled mid-drain, but a straggler worker published its
-            # result after the cancel swept the file: consume the
-            # orphan now so a reused queue directory never replays it.
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-            return None
-        if doc is None:
-            self._quarantine_and_requeue(unit_id, unit, path)
-            return None
-        if not doc.get("ok"):
-            # Consume the error result: leaving it on disk would make
-            # a reused queue directory replay this failure forever.
-            os.unlink(path)
-            raise RuntimeError(
-                f"unit {unit_id} ({unit.label}) failed on worker "
-                f"{doc.get('worker')}:\n{doc.get('error')}"
-            )
-        attempts = self._attempts.pop(unit_id)
-        del self._outstanding[unit_id]
-        os.unlink(path)
-        return WorkResult(
-            unit=unit,
-            payload=doc["payload"],
-            elapsed=float(doc.get("elapsed", 0.0)),
-            worker=doc.get("worker"),
-            attempts=attempts,
-            timings=doc.get("timings"),
-        )
-
-    def _quarantine_and_requeue(
-        self, unit_id: str, unit: WorkUnit, result_path: str
-    ) -> None:
-        """Handle a corrupt result: preserve it, retry the unit.
-
-        The corrupt document moves to ``corrupt/`` (atomic rename, so
-        no poll ever re-reads it) and the unit goes back to ``tasks/``
-        with an incremented attempt — bounded by ``max_attempts``, so
-        a filesystem that keeps tearing writes fails the campaign with
-        a diagnosis instead of looping forever.
-        """
-        quarantined = quarantine_file(self.queue_dir, result_path)
-        if quarantined is None:
-            return  # vanished mid-read; the next poll resolves it
-        if self.telemetry is not None:
-            self.telemetry.emit(make_event(
-                "quarantine", unit=unit_id, path=quarantined,
-            ))
-        attempts = self._attempts[unit_id] + 1
-        if attempts > self.max_attempts:
-            raise RuntimeError(
-                f"unit {unit_id} ({unit.label}): corrupt result "
-                f"document (quarantined to {quarantined}) and the "
-                f"{self.max_attempts}-attempt budget is exhausted — "
-                "is the queue filesystem tearing writes?"
-            )
-        self._attempts[unit_id] = attempts
-        try:
-            os.unlink(_lease_path(self.queue_dir, unit_id))
-        except FileNotFoundError:
-            pass
-        atomic_write_bytes(
-            _task_path(self.queue_dir, unit_id),
-            self._task_doc(unit, attempt=attempts),
-        )
-        if self.telemetry is not None:
-            self.telemetry.emit(make_event(
-                "requeue", unit=unit_id, attempt=attempts,
-            ))
-
-    def _lease_age(self, unit_id: str) -> Optional[float]:
-        try:
-            return time.time() - os.stat(
-                _lease_path(self.queue_dir, unit_id)
-            ).st_mtime
-        except FileNotFoundError:
-            return None
-
-    def _any_live_lease(self) -> bool:
-        for unit_id in self._outstanding:
-            age = self._lease_age(unit_id)
-            if age is not None and age <= self.lease_timeout:
-                return True
-        return False
-
-    def _requeue_expired(self) -> List[WorkResult]:
-        """Re-enqueue claimed units whose worker stopped heartbeating.
-
-        **Collect-before-requeue**: a worker publishes its result
-        *before* releasing its lease, so a result file landing while
-        the lease is being expired means the unit finished — it is
-        collected and returned (for :meth:`completions` to yield)
-        rather than re-enqueued, so a slow-but-successful worker never
-        burns an attempt from ``max_attempts`` (or, worse, exhausts
-        the budget and fails a campaign whose result is sitting on
-        disk)."""
-        collected: List[WorkResult] = []
-        for unit_id, unit in list(self._outstanding.items()):
-            age = self._lease_age(unit_id)
-            if age is None:
-                continue
-            if age <= self.lease_timeout:
-                # Early warning: the lease aged past half its window
-                # without a heartbeat — the worker is struggling (or
-                # its beat thread is), even if it recovers.  One
-                # event per delivery attempt.
-                if (self.telemetry is not None
-                        and age > self.lease_timeout / 2.0):
-                    key = (unit_id, self._attempts[unit_id])
-                    if key not in self._gap_warned:
-                        self._gap_warned.add(key)
-                        self.telemetry.emit(make_event(
-                            "heartbeat_gap", unit=unit_id,
-                            age=round(age, 3),
-                            attempt=self._attempts[unit_id],
-                        ))
-                continue
-            result = self._collect(unit_id)
-            if result is not None:
-                # The dead (or merely slow) owner never released its
-                # lease; the unit is done, so the lease is litter.
-                try:
-                    os.unlink(_lease_path(self.queue_dir, unit_id))
-                except FileNotFoundError:
-                    pass
-                collected.append(result)
-                continue
-            if self.telemetry is not None:
-                self.telemetry.emit(make_event(
-                    "lease_expired", unit=unit_id,
-                    age=round(age, 3),
-                    attempt=self._attempts[unit_id],
-                ))
-            attempts = self._attempts[unit_id] + 1
-            if attempts > self.max_attempts:
-                raise RuntimeError(
-                    f"unit {unit_id} ({unit.label}): lease expired and "
-                    f"the {self.max_attempts}-attempt budget is "
-                    "exhausted (workers keep dying mid-unit?)"
-                )
-            self._attempts[unit_id] = attempts
-            try:
-                os.unlink(_lease_path(self.queue_dir, unit_id))
-            except FileNotFoundError:
-                pass
-            atomic_write_bytes(
-                _task_path(self.queue_dir, unit_id),
-                self._task_doc(unit, attempt=attempts),
-            )
-            if self.telemetry is not None:
-                self.telemetry.emit(make_event(
-                    "requeue", unit=unit_id, attempt=attempts,
-                ))
-        return collected
-
-    # -- teardown ------------------------------------------------------------
-
-    def cancel(self) -> None:
-        self.cancel_units(list(self._outstanding))
-
-    def cancel_units(self, unit_ids: Iterable[str]) -> None:
-        """Withdraw specific outstanding units from the queue.
-
-        Unclaimed task files are unlinked so no worker ever picks them
-        up.  A unit some worker already *claimed* is cancelled too:
-        its lease is removed — the executing worker cannot be
-        interrupted mid-unit, but its heartbeat finds the lease gone,
-        and the straggler result it may still publish is swept by the
-        next :meth:`completions` poll or at :meth:`close` (previously
-        a claimed unit kept its lease, which sat in ``leases/`` as an
-        orphan that made later campaigns misread queue pressure).  Any
-        result that already landed is removed now — a reused queue
-        directory must not replay a cancelled unit's outcome.
-        """
-        for unit_id in unit_ids:
-            if unit_id not in self._outstanding:
-                continue
-            removed = {}
-            for stage, path in (
-                ("task", _task_path(self.queue_dir, unit_id)),
-                ("lease", _lease_path(self.queue_dir, unit_id)),
-                ("result", _result_path(self.queue_dir, unit_id)),
-            ):
-                try:
-                    os.unlink(path)
-                    removed[stage] = True
-                except FileNotFoundError:
-                    removed[stage] = False
-            # Track the id for the straggler sweep only when a worker
-            # might still publish it — tracking ids that cannot
-            # straggle would grow _cancelled_ids (and its per-poll
-            # unlink attempts) for the life of a long-lived backend.
-            # The dispatcher's own attempt count is authoritative:
-            # attempts > 1 means a presumed-dead predecessor may yet
-            # finish; otherwise only a current claimant (task file
-            # already gone) that has not yet published can.
-            straggler_possible = (
-                self._attempts[unit_id] > 1
-                or (not removed["task"] and not removed["result"])
-            )
-            if straggler_possible:
-                self._cancelled_ids.add(unit_id)
-            del self._outstanding[unit_id]
-            del self._attempts[unit_id]
-
-    def _sweep_cancelled(self) -> None:
-        """Remove straggler results of cancelled units (best effort).
-
-        A worker that was mid-unit when its unit was cancelled still
-        publishes on completion; sweeping on every poll (and after the
-        workers stopped, in :meth:`close`) keeps the queue directory
-        free of stray files after an early-stopped campaign.  An id is
-        forgotten once its straggler landed and was swept — a worker
-        publishes a unit at most once, so keeping it would only make
-        the set (and its per-poll unlink attempts) grow for the life
-        of a long-lived backend.  (The pathological second straggler —
-        a unit cancelled *after* a lease-expiry re-enqueue put two
-        workers on it — is still covered by the submit-time sweep.)
-        """
-        for unit_id in list(self._cancelled_ids):
-            try:
-                os.unlink(_result_path(self.queue_dir, unit_id))
-            except FileNotFoundError:
-                continue
-            self._cancelled_ids.discard(unit_id)
-
-    def close(self) -> None:
-        """Stop spawned/elastic workers (via the ``stop`` sentinel,
-        then escalating) and release the queue.  External workers keep
-        running — remove/write the sentinel yourself to manage them."""
-        if self._procs or self.supervisor is not None:
-            atomic_write_bytes(_stop_path(self.queue_dir), b"")
-        if self.supervisor is not None:
-            self.supervisor.shutdown()
-            self.supervisor = None
-        if self._procs:
-            deadline = time.monotonic() + 10.0
-            for proc in self._procs:
-                _stop_proc(proc, deadline)
-            self._procs = []
-        # The workers are gone (or were never ours): any straggler
-        # result a cancelled unit left behind is final litter now.
-        self._sweep_cancelled()
-        self._cancelled_ids = set()
+        self._spawn_pool(QueueWorkerLauncher(queue_dir), spawn_workers)

@@ -369,14 +369,39 @@ class TestWorkQueueFaults:
         results = list(fresh.completions())
         assert results[0].payload.accesses == 12000
 
-    def test_lost_claim_skipped_not_fatal(self, tmp_path):
+    def test_lost_claim_skipped_not_fatal(self, tmp_path, monkeypatch):
         """Regression: a worker whose freshly-claimed lease was
         re-enqueued from under it (stale task mtime) must move on,
         not crash."""
-        from repro.backends.workqueue import _execute_claimed
+        # The rename claim "wins" a unit whose lease file is gone.
+        monkeypatch.setattr(wq, "_claim_next", lambda queue_dir: "ghost")
+        store = wq.DirectoryQueueStore(str(tmp_path))
+        assert store.claim("w1", "h")["unit"] is None
+        assert wq.worker_loop(
+            str(tmp_path), worker_id="w1", poll_interval=0.01,
+            max_idle=0.05, echo=False,
+        ) == 0
 
-        ensure_queue_dirs(str(tmp_path))
-        assert _execute_claimed(str(tmp_path), "ghost", "w1") is None
+    def test_dropped_unit_resets_idle_clock(self, tmp_path, monkeypatch):
+        """A unit whose result was dropped (lease lost, stale attempt)
+        still counts as work: ``max_idle`` is measured from its end,
+        not from the last published unit."""
+        store = wq.DirectoryQueueStore(str(tmp_path))
+        store.submit({"unit_id": "u", "attempt": 1})
+        finished = []
+
+        def slow_dropped(store, doc, worker_id):
+            time.sleep(0.3)
+            finished.append(time.monotonic())
+            return None
+
+        monkeypatch.setattr(wq, "_execute_claimed", slow_dropped)
+        assert wq.worker_loop(
+            str(tmp_path), worker_id="w1", poll_interval=0.01,
+            max_idle=0.2, echo=False,
+        ) == 0
+        assert len(finished) == 1
+        assert time.monotonic() - finished[0] >= 0.2
 
     def test_release_lease_spares_successor(self, tmp_path):
         """Regression: a slow predecessor finishing late must not
@@ -458,14 +483,15 @@ class TestHeartbeatLiveness:
         backend.submit(WorkUnit(
             unit_id="u", spec=timing_spec(num_samples=32_768)
         ))
-        claimed = wq._claim_next(str(tmp_path))
-        assert claimed == "u"
+        claimed = backend.store.claim("w1", "h")["unit"]
+        assert claimed["unit_id"] == "u"
         monkeypatch.setattr(wq, "_touch", self._boom)
-        assert wq._execute_claimed(str(tmp_path), "u", "w1") is None
+        assert wq._execute_claimed(backend.store, claimed, "w1") is None
         # Aborted: no result published, and the stale lease hands the
         # unit straight back to the dispatcher's expiry pass.
         assert os.listdir(tmp_path / RESULTS_DIR) == []
-        assert backend._lease_age("u") > backend.lease_timeout
+        lease_ages = backend.store.poll(["u"], [])["lease_ages"]
+        assert lease_ages["u"] > backend.lease_timeout
 
 
 class TestRequeueCollectsLateResults:
@@ -511,7 +537,9 @@ class TestRequeueCollectsLateResults:
         # expires (its heartbeat died long ago, mtime is stale).
         self._publish(str(tmp_path), "slow",
                       reference.cells[0].payload)
-        collected = backend._requeue_expired()
+        collected = backend._requeue_expired(
+            backend.store.poll(["slow"], [])["lease_ages"]
+        )
         assert [r.unit.unit_id for r in collected] == ["slow"]
         assert collected[0].attempts == 1
         assert (collected[0].payload.miss_rate
@@ -1425,8 +1453,10 @@ class TestCorruptResultQuarantine:
         try:
             results = list(backend.completions())
         finally:
+            backend.store.set_stop(True)
             backend.close()
             worker.join(timeout=30.0)
+        assert not worker.is_alive()
         assert len(results) == 1
         assert results[0].attempts == 2
         quarantined = os.listdir(tmp_path / "corrupt")

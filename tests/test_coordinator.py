@@ -34,6 +34,7 @@ from repro.backends import (
     worker_loop_http,
 )
 from repro.backends import coordinator as coord_mod
+from repro.backends import workqueue as wq
 from repro.backends.workqueue import (
     CORRUPT_DIR,
     LEASES_DIR,
@@ -674,7 +675,7 @@ class TestCoordinatorWorkerLauncher:
             launched.append((url, worker_id))
             return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
-        monkeypatch.setattr(coord_mod, "_spawn_http_worker", fake_spawn)
+        monkeypatch.setattr(wq, "_spawn_worker_process", fake_spawn)
         launcher = CoordinatorWorkerLauncher(
             "http://example:8642", log_dir=str(tmp_path / "logs")
         )
@@ -724,3 +725,132 @@ class TestCoordinatorWorkerLauncher:
             result.cells[0].payload.timings.tobytes()
             == reference.cells[0].payload.timings.tobytes()
         )
+
+
+class TestOneStateMachine:
+    """The dispatcher's fault rules are written once, over either
+    store, so both transports journal the same chains."""
+
+    @pytest.fixture(params=["directory", "http"])
+    def make_backend(self, request, tmp_path):
+        from repro.backends import WorkQueueBackend
+
+        if request.param == "directory":
+            yield lambda **kw: WorkQueueBackend(
+                str(tmp_path / "queue"), **kw
+            )
+            return
+        with CoordinatorServer(str(tmp_path / "queue")) as srv:
+            yield lambda **kw: HttpQueueBackend(srv.url, **kw)
+
+    def test_expiry_chain_and_final_expiry_before_budget_error(
+        self, make_backend
+    ):
+        """A worker that claims every attempt and dies: gap → expiry →
+        requeue for attempt 1, then gap → expiry before the budget
+        error — the final ``lease_expired`` used to be missing over
+        HTTP, leaving ``repro trace`` nothing to narrate."""
+        from repro.telemetry.sink import RecordingSink
+
+        sink = RecordingSink()
+        backend = make_backend(
+            lease_timeout=0.6, poll_interval=0.02, max_attempts=2,
+            idle_timeout=30.0, telemetry=sink,
+        )
+        backend.submit(
+            WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        )
+        stop = threading.Event()
+
+        def dying_worker():
+            # Claims each attempt, then never heartbeats or posts.
+            while not stop.is_set():
+                backend.store.claim("dead", "testhost")
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=dying_worker, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(RuntimeError, match="budget is exhausted"):
+                list(backend.completions())
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            backend.close()
+        assert not thread.is_alive()
+        chain = [
+            (event["type"], event["attempt"]) for event in sink.events
+            if event["type"] in ("heartbeat_gap", "lease_expired",
+                                 "requeue")
+        ]
+        assert chain == [
+            ("heartbeat_gap", 1), ("lease_expired", 1), ("requeue", 2),
+            ("heartbeat_gap", 2), ("lease_expired", 2),
+        ]
+
+
+class TestPostResultReleaseRace:
+    """Fault injection for the read-then-unlink release in
+    ``CoordinatorState.post_result``: under ``repro serve`` the
+    dispatcher and filesystem workers change the directory without the
+    coordinator's lock, so an expiry requeue plus a successor claim can
+    land between the post's attempt check and its lease release."""
+
+    def test_successor_lease_survives_interleaved_requeue_and_claim(
+        self, tmp_path, monkeypatch
+    ):
+        state = coord_mod.CoordinatorState(str(tmp_path / "queue"))
+        doc = dict(
+            WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+            .to_doc(),
+            attempt=1, heartbeat=5.0,
+        )
+        state.submit(doc)
+        assert state.claim("w1", "testhost")["unit"]["worker"] == "w1"
+        real_write = wq.atomic_write_bytes
+        interleaved = []
+
+        def write_and_interleave(path, data):
+            if path.endswith(".pkl") and not interleaved:
+                interleaved.append(path)
+                # The dispatcher expires w1's lease and re-enqueues
+                # attempt 2, and successor w2 claims it — all after
+                # w1's post passed its attempt check.
+                assert state.requeue(
+                    "u1", dict(doc, attempt=2), quarantine=False
+                )["requeued"]
+                assert state.claim("w2", "testhost")["unit"]["attempt"] \
+                    == 2
+            real_write(path, data)
+
+        monkeypatch.setattr(wq, "atomic_write_bytes", write_and_interleave)
+        assert state.post_result("u1", "w1", 1, pickle.dumps({"ok": True}))
+        assert interleaved
+        # The successor's live lease is intact, not unlinked by w1's
+        # release, and no tombstone lingers.
+        with open(_lease_path(state.queue_dir, "u1")) as handle:
+            assert json.load(handle)["worker"] == "w2"
+        assert os.listdir(os.path.join(state.queue_dir, LEASES_DIR)) \
+            == ["u1.json"]
+
+
+class TestSpawnedWorkerLogDir:
+    def test_log_dir_removed_at_close(self, server, monkeypatch):
+        """Each HTTP backend with spawned workers made one
+        ``repro-http-workers-*`` temp dir and nothing removed it."""
+        launched = []
+
+        def fake_spawn(url, worker_id, poll_interval, log_dir):
+            launched.append(worker_id)
+            path = os.path.join(log_dir, worker_id + ".log")
+            with open(path, "w") as handle:
+                handle.write("log\n")
+            return _FakeProc(), path
+
+        monkeypatch.setattr(wq, "_spawn_worker_process", fake_spawn)
+        backend = HttpQueueBackend(server.url, spawn_workers=2)
+        log_dir = backend._log_dir
+        assert len(launched) == 2
+        assert os.path.isdir(log_dir)
+        backend.close()
+        assert not os.path.exists(log_dir)

@@ -517,6 +517,14 @@ class TestStatusCoordinatorFleet:
                 out["result"] = runner.run(specs)
                 done.set()
 
+            # Submit only once both spawned workers have claimed:
+            # otherwise the first one up can drain both units before
+            # its twin starts, and the pair is never seen serving.
+            start_by = time.monotonic() + 60.0
+            while (sum(coordinator_status(server.url)
+                       ["workers_by_host"].values()) < 2
+                   and time.monotonic() < start_by):
+                time.sleep(0.05)
             thread = threading.Thread(target=drain)
             thread.start()
             saw_fleet = None
