@@ -1,10 +1,11 @@
 """Scalar vs. vector kernel throughput, tracked in BENCH_kernels.json.
 
 Measures the batched NumPy kernels (:mod:`repro.kernels`) against the
-scalar loops on the two hot paths — contention-attack trial blocks and
-trace replay (pwcet run batches, missrate set-parallel rounds) —
-building each cell exactly the way a campaign does (same specs, same
-per-trial seed hooks).  Every measured pair is also asserted
+scalar loops on the hot paths — contention-attack trial blocks, trace
+replay (pwcet run batches, missrate set-parallel rounds) and the
+Bernstein engine's per-epoch cold-line replay — building each cell
+exactly the way a campaign does (same specs, same per-trial seed
+hooks, same epoch seed plan).  Every measured pair is also asserted
 bit-identical — a benchmark that drifted from the scalar semantics
 would fail, not report a bogus speedup.
 
@@ -45,10 +46,14 @@ from repro.campaigns.experiments import (
     _contention_seeder,
     _pwcet_times,
     resolve_contention_kernel,
+    resolve_engine_kernel,
     resolve_missrate_kernel,
     resolve_pwcet_kernel,
     run_missrate,
 )
+from repro.campaigns.registry import KernelResolution
+from repro.core.batch import AESTimingEngine
+from repro.core.setups import make_setup
 from benchmarks.reporting import emit
 
 DEFAULT_JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_kernels.json")
@@ -83,6 +88,19 @@ REPLAYS = (
     ("pwcet", "tscache", (("analyse", False),), 48, 2.0),
     ("pwcet", "deterministic", (("analyse", False),), 48, 2.0),
     ("missrate", "random_modulo", (("workload", "reuse"),), 1, 1.0),
+)
+
+
+#: Bernstein epoch replay: the scalar ``ColdLineModel.epoch_state``
+#: loop against one batched ``epoch_states`` call, over the victim's
+#: epochs of a campaign-default 300 000-sample cell (293 epochs: seed
+#: epochs under TSCache, replacement realisations under MBPTA).  The
+#: plan is the campaign's own, so ``--trials-scale`` leaves it alone.
+#: The randomized setups are the ones with many epochs per cell.
+EPOCH_REPLAYS = (
+    # (setup, samples, floor)
+    ("mbpta", 300_000, 5.0),
+    ("tscache", 300_000, 5.0),
 )
 
 
@@ -197,6 +215,34 @@ def _bench_missrate(policy, params, floor, repeats) -> dict:
                 scalar_payload.misses, scalar_s, vector_s)
 
 
+def _bench_epoch_states(setup, samples, floor, repeats) -> dict:
+    spec = _bench_spec("bernstein", setup, (), samples)
+    resolved = KernelResolution(resolve_engine_kernel(spec))
+    engine = AESTimingEngine(make_setup(setup))
+    model = engine.cold_model
+    epochs = [
+        epoch for _, _, _, epoch
+        in engine.epoch_blocks(samples, "victim", 0xC0DE)
+    ]
+
+    def scalar():
+        states = [model.epoch_state(*epoch) for epoch in epochs]
+        return (np.stack([cold for cold, _ in states]),
+                np.stack([sets for _, sets in states]))
+
+    scalar_s, (scalar_cold, scalar_sets) = _time_fn(scalar, repeats)
+    vector_s, (vector_cold, vector_sets) = _time_fn(
+        lambda: model.epoch_states(epochs), repeats
+    )
+    if not (np.array_equal(scalar_cold, vector_cold)
+            and np.array_equal(scalar_sets, vector_sets)):
+        raise AssertionError(
+            f"epoch_states/{setup}: batched replay diverged from scalar"
+        )
+    return _row("epoch_states", setup, (), len(epochs), floor, resolved,
+                int(scalar_cold.sum()), scalar_s, vector_s)
+
+
 def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
     """Measure every setup; returns the BENCH_kernels.json document."""
     rows = []
@@ -211,6 +257,8 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
             rows.append(_bench_pwcet(label, params, runs, floor, repeats))
         else:
             rows.append(_bench_missrate(label, params, floor, repeats))
+    for setup, samples, floor in EPOCH_REPLAYS:
+        rows.append(_bench_epoch_states(setup, samples, floor, repeats))
     return {
         "bench": "kernels",
         "schema": 2,

@@ -59,7 +59,6 @@ from repro.cache.placement import make_placement
 from repro.cache.replacement import make_replacement
 from repro.core.batch import (
     AESTimingEngine,
-    EngineConfig,
     Shard,
     ShardPlan,
     ShardPolicy,
@@ -151,10 +150,12 @@ def _spec_kernel(spec: ExperimentSpec) -> str:
 
 
 def resolve_engine_kernel(spec: ExperimentSpec) -> str:
-    """The AES timing engine is natively vectorized (NumPy batches,
-    no scalar path), so every engine-backed cell runs "vector"
-    regardless of the hint — which is still validated so ``--dry-run``
-    rejects a typo before dispatch."""
+    """Every engine-backed cell runs "vector", whatever the hint.
+
+    The AES timing engine has no scalar path: encryptions and timings
+    are NumPy batches, and the per-epoch cold-line replay runs every
+    epoch of a shard as one lane of a vector cache pass.  The hint is
+    still validated so ``--dry-run`` rejects a typo before dispatch."""
     _spec_kernel(spec)
     return "vector"
 
@@ -220,7 +221,6 @@ def _bernstein_study(spec: ExperimentSpec):
         resolve_setup(spec),
         num_samples=spec.num_samples,
         background=resolve_background(spec),
-        engine_config=EngineConfig(kernel=_spec_kernel(spec)),
         rng_seed=spec.seed_sequence(),
     )
 
@@ -329,7 +329,6 @@ def _timing_engine(spec: ExperimentSpec) -> AESTimingEngine:
     return AESTimingEngine(
         resolve_setup(spec),
         background=resolve_background(spec),
-        config=EngineConfig(kernel=_spec_kernel(spec)),
         rng=spec.rng(),
     )
 

@@ -8,9 +8,9 @@ and never participates in placement (see paper §2.1, mbpta-p2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.common.bitops import bit_length_for, extract_bits, is_power_of_two, mask
+from repro.common.bitops import bit_length_for, is_power_of_two, mask
 
 
 @dataclass(frozen=True)
@@ -46,30 +46,28 @@ class AddressLayout:
     line_size: int
     num_sets: int
     address_bits: int = 32
+    # Field widths, derived once in __post_init__: decode runs on every
+    # simulated access, so it must not re-derive them per call.
+    offset_bits: int = field(init=False, repr=False, compare=False)
+    index_bits: int = field(init=False, repr=False, compare=False)
+    tag_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.line_size):
             raise ValueError(f"line_size must be a power of two, got {self.line_size}")
         if not is_power_of_two(self.num_sets):
             raise ValueError(f"num_sets must be a power of two, got {self.num_sets}")
-        needed = self.offset_bits + self.index_bits
+        offset_bits = bit_length_for(self.line_size)
+        index_bits = bit_length_for(self.num_sets)
+        needed = offset_bits + index_bits
         if self.address_bits <= needed:
             raise ValueError(
                 f"address_bits={self.address_bits} too small for "
-                f"offset({self.offset_bits}) + index({self.index_bits}) bits"
+                f"offset({offset_bits}) + index({index_bits}) bits"
             )
-
-    @property
-    def offset_bits(self) -> int:
-        return bit_length_for(self.line_size)
-
-    @property
-    def index_bits(self) -> int:
-        return bit_length_for(self.num_sets)
-
-    @property
-    def tag_bits(self) -> int:
-        return self.address_bits - self.index_bits - self.offset_bits
+        object.__setattr__(self, "offset_bits", offset_bits)
+        object.__setattr__(self, "index_bits", index_bits)
+        object.__setattr__(self, "tag_bits", self.address_bits - needed)
 
     def decode(self, address: int) -> DecodedAddress:
         """Split ``address`` into tag/index/offset fields."""
@@ -77,11 +75,11 @@ class AddressLayout:
             raise ValueError(
                 f"address {address:#x} outside {self.address_bits}-bit space"
             )
-        offset = extract_bits(address, 0, self.offset_bits)
-        index = extract_bits(address, self.offset_bits, self.index_bits)
-        tag = extract_bits(
-            address, self.offset_bits + self.index_bits, self.tag_bits
-        )
+        offset = address & mask(self.offset_bits)
+        index = (address >> self.offset_bits) & mask(self.index_bits)
+        # The range check above bounds the address, so the tag is
+        # everything above the index field.
+        tag = address >> (self.offset_bits + self.index_bits)
         return DecodedAddress(address=address, tag=tag, index=index, offset=offset)
 
     def encode(self, tag: int, index: int, offset: int = 0) -> int:

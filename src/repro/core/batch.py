@@ -5,13 +5,18 @@ accurate simulator.  Re-running a scalar simulator per encryption is
 infeasible in Python at attack scale, so this engine factors the
 computation the way the physics factors:
 
-1. **Cold-line model (scalar, per seed epoch).**  The deterministic
+1. **Cold-line model (batched over seed epochs).**  The deterministic
    background activity (see :mod:`repro.workloads.interference`)
    evicts a *fixed* subset of the 160 AES table lines from L1 between
    encryptions — fixed given the placement policy and the seeds.  That
    subset (the "cold mask") is computed by replaying warm-up +
-   background through the *real* scalar cache models, once per seed
-   epoch.
+   background through the cache model, once per seed epoch (and, with
+   random replacement, once per replacement realisation).  Every epoch
+   a collection touches is one lane of a single
+   :class:`~repro.kernels.cache.VectorCacheBatch` pass, each lane with
+   its own seeds and its own replacement draw stream; the scalar
+   replay through the real :class:`~repro.cache.core.SetAssociativeCache`
+   stays as the oracle the batched pass is tested against.
 
 2. **Per-encryption timing (vectorized).**  An encryption's time is
    the fixed pipeline+hit baseline plus one L2-hit penalty per
@@ -42,7 +47,8 @@ hit random table lines.
    and any completion order.
 
 The consistency of (1)+(2) against the scalar hierarchy is covered by
-integration tests (``tests/test_batch.py``); the shard/serial
+integration tests (``tests/test_batch.py``), which also pin the batched
+cold-line pass to the scalar oracle on every setup; the shard/serial
 equivalence by the golden-trace suite (``tests/test_golden_traces.py``).
 """
 
@@ -65,6 +71,14 @@ from repro.cache.placement import make_placement
 from repro.cache.replacement import make_replacement
 from repro.cache.rpcache import RPCache
 from repro.core.setups import SetupConfig
+from repro.kernels.cache import VectorCacheBatch
+from repro.kernels.placement import vector_placement
+from repro.kernels.replacement import (
+    FixedDrawTable,
+    VectorRandom,
+    XorShift128Lanes,
+)
+from repro.kernels.trials import make_vector_batch, vector_cache_support
 from repro.crypto.aes import (
     AES128,
     DEFAULT_TABLE_BASE,
@@ -81,6 +95,17 @@ ENTRIES_PER_LINE = 8
 
 VICTIM_PID = 1
 OTHER_PID = 7
+
+#: Epochs per batched cache pass in :meth:`ColdLineModel.epoch_states`.
+#: Caps the pass's ``(lanes, sets, ways)`` state at a few MiB (about
+#: 13 KiB per lane at the ARM920T L1 geometry) whatever the budget.
+EPOCH_LANES = 512
+
+#: Access steps whose sets one placement call maps for every lane.
+_MAP_STEPS = 64
+
+#: Mixed into an epoch's replacement seed to seed its victim draws.
+_REPLACEMENT_SALT = 0x5EED_BA5E
 
 
 def lookup_line_ids(lookup_bytes: np.ndarray) -> np.ndarray:
@@ -461,12 +486,16 @@ def merge_shard_samples(
 
 
 class ColdLineModel:
-    """Scalar-simulated per-epoch cache state for the table region.
+    """Per-epoch cache state for the table region.
 
     For one placement configuration and seed assignment, determines
     which table lines the background activity leaves cold in L1 at the
     start of each encryption, by replaying the access pattern through
-    the real cache models.
+    the cache models.  :meth:`epoch_states` replays many epochs at once
+    through the vector cache kernel, one epoch per lane; the scalar
+    :meth:`epoch_state` replays one epoch through the real
+    :class:`~repro.cache.core.SetAssociativeCache` and is the oracle
+    the batched path is tested against.
     """
 
     def __init__(
@@ -481,16 +510,23 @@ class ColdLineModel:
         self.table_base = table_base
         self.geometry = geometry
         self.layout = geometry.layout()
-        #: Epoch states are pure functions of their seed tuple, and the
-        #: engine re-requests the same tuple once per RNG block within
-        #: a realisation — memoizing turns the repeated scalar cache
-        #: replays into dictionary hits.  Entries are small (two
-        #: NUM_TABLE_LINES arrays) and epochs per cell are few, but the
-        #: memo is bounded anyway so a pathological caller cannot grow
-        #: it without limit.
-        self._epoch_memo: Dict[
-            Tuple[int, int, bool, int], Tuple[np.ndarray, np.ndarray]
-        ] = {}
+        # One background interval, replayed by every epoch of the model.
+        self._same_trace = list(background.same_process_trace(VICTIM_PID))
+        self._other_trace = list(background.other_process_trace(OTHER_PID))
+        # The same accesses as address arrays for the batched replay:
+        # the victim's two warm-up table passes then its own buffers,
+        # and the other process's buffers.
+        self._table_addresses = np.asarray(
+            self._table_line_addresses(), dtype=np.int64
+        )
+        self._victim_steps = np.concatenate([
+            self._table_addresses,
+            self._table_addresses,
+            np.asarray([a.address for a in self._same_trace], dtype=np.int64),
+        ])
+        self._other_steps = np.asarray(
+            [a.address for a in self._other_trace], dtype=np.int64
+        )
         self._interference_memo: Dict[Tuple[int, int], int] = {}
 
     # -- cache construction -------------------------------------------------
@@ -506,7 +542,7 @@ class ColdLineModel:
                 "random",
                 self.geometry.num_sets,
                 self.geometry.num_ways,
-                prng=XorShift128(replacement_seed ^ 0x5EED_BA5E),
+                prng=XorShift128(replacement_seed ^ _REPLACEMENT_SALT),
             )
         else:
             replacement = make_replacement(
@@ -534,7 +570,7 @@ class ColdLineModel:
         include_other: bool = True,
         replacement_seed: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(cold_mask, line_set) for one seed epoch.
+        """(cold_mask, line_set) for one seed epoch, by scalar replay.
 
         ``cold_mask[l]`` — table line ``l`` is evicted from L1 by the
         per-interval background activity (so the next encryption pays
@@ -542,18 +578,9 @@ class ColdLineModel:
         line occupies under the victim's mapping (used by the RPCache
         noise model).  With random replacement, ``replacement_seed``
         selects one realisation of the eviction choices — callers
-        resample it periodically to model the per-interval variation.
-        States are memoized per seed tuple; the returned arrays are
-        shared and read-only — copy before mutating.
+        resample it periodically to model the per-interval variation;
+        deterministic replacement never reads it.
         """
-        if self.setup.l1_replacement != "random":
-            # The replacement seed never reaches a deterministic
-            # cache, so resampled values must all hit the same entry.
-            replacement_seed = 0
-        key = (victim_seed, other_seed, include_other, replacement_seed)
-        memo = self._epoch_memo.get(key)
-        if memo is not None:
-            return memo
         cache = self._build_cache(victim_seed, other_seed, replacement_seed)
         addresses = self._table_line_addresses()
         # Warm-up: two passes so LRU order is the table-id order.
@@ -561,10 +588,10 @@ class ColdLineModel:
             for address in addresses:
                 cache.access(MemoryAccess(address, pid=VICTIM_PID))
         # One background interval, application buffers then OS.
-        for access in self.background.same_process_trace(VICTIM_PID):
+        for access in self._same_trace:
             cache.access(access)
         if include_other:
-            for access in self.background.other_process_trace(OTHER_PID):
+            for access in self._other_trace:
                 cache.access(access)
         cold = np.array(
             [
@@ -580,13 +607,92 @@ class ColdLineModel:
             ],
             dtype=np.int64,
         )
-        # Shared across callers: freeze so a stray in-place edit
-        # cannot corrupt every later hit.
-        cold.flags.writeable = False
-        line_set.flags.writeable = False
-        if len(self._epoch_memo) < 4096:
-            self._epoch_memo[key] = (cold, line_set)
         return cold, line_set
+
+    def epoch_states(
+        self, epochs: Sequence[Tuple[int, int, bool, int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(cold, line_set) of many epochs as ``(E, 160)`` arrays.
+
+        ``epochs[i]`` is an ``epoch_state`` argument tuple
+        ``(victim_seed, other_seed, include_other, replacement_seed)``
+        and row ``i`` of each array equals ``epoch_state(*epochs[i])``
+        bit for bit.  The epochs are the batch axis of a
+        :class:`~repro.kernels.cache.VectorCacheBatch` pass (its
+        RPCache twin for the RPCache setup), run over chunks of
+        :data:`EPOCH_LANES` epochs so memory stays bounded for any
+        number of epochs.
+        """
+        cold = np.empty((len(epochs), NUM_TABLE_LINES), dtype=bool)
+        line_set = np.empty((len(epochs), NUM_TABLE_LINES), dtype=np.int64)
+        for lo in range(0, len(epochs), EPOCH_LANES):
+            chunk = epochs[lo:lo + EPOCH_LANES]
+            rows = slice(lo, lo + len(chunk))
+            cold[rows], line_set[rows] = self._replay_lanes(chunk)
+        return cold, line_set
+
+    def _vector_batch(
+        self, epochs: Sequence[Tuple[int, int, bool, int]]
+    ) -> VectorCacheBatch:
+        """A fresh batch with one lane per epoch, seeded like its cache."""
+        template = self._build_cache(0, 0)
+        lanes = len(epochs)
+        if self.setup.l1_replacement != "random":
+            batch = make_vector_batch(template, lanes)
+            if batch is None:
+                raise ValueError(vector_cache_support(template))
+        else:
+            # Each epoch's cache owns its own seeded XorShift128, which
+            # the generic envelope cannot see into; the model knows
+            # every seed, so each lane replays its epoch's stream.
+            streams = XorShift128Lanes(
+                [epoch[3] ^ _REPLACEMENT_SALT for epoch in epochs]
+            )
+            num_ways = self.geometry.num_ways
+            batch = VectorCacheBatch(
+                self.geometry,
+                vector_placement(template.placement),
+                lanes,
+                replacement=VectorRandom(
+                    lanes, self.geometry.num_sets, num_ways,
+                    FixedDrawTable(streams, num_ways),
+                ),
+            )
+        for lane, (victim_seed, other_seed, _, _) in enumerate(epochs):
+            batch.set_seed(lane, victim_seed, VICTIM_PID)
+            batch.set_seed(lane, other_seed, OTHER_PID)
+        return batch
+
+    def _replay_lanes(
+        self, epochs: Sequence[Tuple[int, int, bool, int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        batch = self._vector_batch(epochs)
+        self._replay_steps(batch, self._victim_steps, VICTIM_PID, None)
+        include = np.array([bool(epoch[2]) for epoch in epochs])
+        if include.any():
+            active = None if include.all() else include
+            self._replay_steps(batch, self._other_steps, OTHER_PID, active)
+        hits, line_set = batch.probe_many(self._table_addresses, VICTIM_PID)
+        return ~hits, line_set
+
+    def _replay_steps(
+        self,
+        batch: VectorCacheBatch,
+        addresses: np.ndarray,
+        pid: int,
+        active: Optional[np.ndarray],
+    ) -> None:
+        """Access ``addresses`` in order, in every (``active``) lane."""
+        lines = addresses & ~np.int64(self.layout.line_size - 1)
+        # Map the sets of _MAP_STEPS steps per call: the placement
+        # hash's temporaries scale with lanes x steps.
+        for lo in range(0, len(addresses), _MAP_STEPS):
+            sets = batch.map_sets(addresses[lo:lo + _MAP_STEPS], pid)
+            for step, line in enumerate(lines[lo:lo + _MAP_STEPS]):
+                batch.access_mapped(
+                    np.full(batch.num_trials, line), sets[:, step], pid,
+                    active,
+                )
 
     def estimate_interference_events(self, victim_seed: int,
                                      other_seed: int) -> int:
@@ -610,9 +716,9 @@ class ColdLineModel:
             before = cache.randomized_evictions
             for address in addresses:
                 cache.access(MemoryAccess(address, pid=VICTIM_PID))
-            for access in self.background.same_process_trace(VICTIM_PID):
+            for access in self._same_trace:
                 cache.access(access)
-            for access in self.background.other_process_trace(OTHER_PID):
+            for access in self._other_trace:
                 cache.access(access)
         events = cache.randomized_evictions - before
         if len(self._interference_memo) < 4096:
@@ -641,21 +747,6 @@ class EngineConfig:
     #: natural epoch/realisation boundaries, at slightly more stream
     #: setup overhead.
     shard_block: int = 1024
-    #: Execution-kernel selection ("auto"/"vector"/"scalar"), the
-    #: campaign layer's uniform seam (see
-    #: :data:`repro.attack.trials.KERNEL_CHOICES`).  This engine is
-    #: natively vectorized — it has no scalar path to select — so the
-    #: field never changes its behaviour or results; it exists so one
-    #: ``--kernel`` choice threads through every experiment kind and
-    #: ``--dry-run`` can report what each cell resolves it to.
-    kernel: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.kernel not in ("auto", "vector", "scalar"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose from "
-                "('auto', 'vector', 'scalar')"
-            )
 
     @property
     def rng_block(self) -> int:
@@ -868,23 +959,66 @@ class AESTimingEngine:
         aes = AES128(key)
         plaintexts = np.empty((hi - lo, 16), dtype=np.uint8)
         timings = np.empty(hi - lo, dtype=float)
+        chunk = self.config.rng_block
+        blocks = self.epoch_blocks(num_samples, party, campaign_seed, lo, hi)
+        colds, line_sets = self.cold_model.epoch_states(
+            [epoch for _, _, _, epoch in blocks]
+        )
+        for (block_start, block_end, events, _), cold, line_set in zip(
+            blocks, colds, line_sets
+        ):
+            # RNG blocks: split the realisation at absolute rng_block
+            # multiples.  Each owns a child stream keyed by its start
+            # position, so output never depends on which shard
+            # computes it.
+            rng_start = block_start
+            while rng_start < block_end:
+                rng_end = min(block_end, (rng_start // chunk + 1) * chunk)
+                if rng_end > lo and rng_start < hi:
+                    block_rng = self._block_rng(party, campaign_seed, rng_start)
+                    block = block_rng.integers(
+                        0, 256, size=(rng_end - rng_start, 16), dtype=np.uint8
+                    )
+                    _, lookup_bytes = aes.encrypt_batch(block)
+                    out = slice(rng_start - lo, rng_end - lo)
+                    plaintexts[out] = block
+                    timings[out] = self._chunk_timings(
+                        lookup_bytes, cold, line_set, events, block_rng
+                    )
+                rng_start = rng_end
+        return plaintexts, timings
+
+    def epoch_blocks(
+        self,
+        num_samples: int,
+        party: str,
+        campaign_seed: int,
+        lo: int = 0,
+        hi: Optional[int] = None,
+    ) -> List[Tuple[int, int, int, Tuple[int, int, bool, int]]]:
+        """The cold-state blocks of a budget that overlap ``[lo, hi)``.
+
+        Each entry is ``(start, end, interference_events, epoch)``:
+        samples ``[start, end)`` share one cold state, the one
+        ``epoch`` (an :meth:`ColdLineModel.epoch_state` argument tuple)
+        yields.  A seed epoch is one block under deterministic
+        replacement; random replacement resamples the eviction choices
+        every ``replacement_block`` encryptions.
+        """
+        hi = num_samples if hi is None else hi
         randomized_replacement = self.setup.l1_replacement == "random"
         party_salt = 0 if party == "victim" else 0xA77A
-        chunk = self.config.rng_block
+        include_other = not self.setup.randomize_other_process
+        blocks = []
         for start, end, victim_seed in self._seed_plan(
             num_samples, party, campaign_seed
         ):
             if end <= lo or start >= hi:
                 continue
             other_seed = victim_seed ^ 0x7E57_0123  # OS runs under its own seed
-            include_other = not self.setup.randomize_other_process
             events = self.cold_model.estimate_interference_events(
                 victim_seed, other_seed
             )
-            # With random replacement the cold realisation changes per
-            # background interval; resample it every replacement_block
-            # encryptions.  Deterministic replacement: one state per
-            # seed epoch.
             block_len = (
                 self.config.replacement_block
                 if randomized_replacement
@@ -894,36 +1028,10 @@ class AESTimingEngine:
                 block_end = min(block_start + block_len, end)
                 if block_end <= lo or block_start >= hi:
                     continue
-                cold, line_set = self.cold_model.epoch_state(
-                    victim_seed,
-                    other_seed,
-                    include_other=include_other,
-                    replacement_seed=block_start ^ party_salt,
-                )
-                # RNG blocks: split the realisation at absolute
-                # rng_block multiples.  Each owns a child stream keyed
-                # by its start position, so output never depends on
-                # which shard computes it.
-                rng_start = block_start
-                while rng_start < block_end:
-                    rng_end = min(block_end, (rng_start // chunk + 1) * chunk)
-                    if rng_end > lo and rng_start < hi:
-                        block_rng = self._block_rng(
-                            party, campaign_seed, rng_start
-                        )
-                        block = block_rng.integers(
-                            0, 256,
-                            size=(rng_end - rng_start, 16),
-                            dtype=np.uint8,
-                        )
-                        _, lookup_bytes = aes.encrypt_batch(block)
-                        out = slice(rng_start - lo, rng_end - lo)
-                        plaintexts[out] = block
-                        timings[out] = self._chunk_timings(
-                            lookup_bytes, cold, line_set, events, block_rng
-                        )
-                    rng_start = rng_end
-        return plaintexts, timings
+                epoch = (victim_seed, other_seed, include_other,
+                         block_start ^ party_salt)
+                blocks.append((block_start, block_end, events, epoch))
+        return blocks
 
     # -- timing math ----------------------------------------------------------------
 

@@ -189,9 +189,9 @@ class VectorCacheBatch:
         )
         lines, tags, indices = self._fields(addresses)
         sets = self.placement.map_sets(tags, indices, self.seeds_for(pid))
-        return self._access_mapped(lines, sets, pid, active)
+        return self.access_mapped(lines, sets, pid, active)
 
-    def _access_mapped(
+    def access_mapped(
         self,
         lines: np.ndarray,
         sets: np.ndarray,

@@ -16,13 +16,15 @@ step, hits and fills are disjoint):
 * :class:`VectorFIFO` / :class:`VectorNRU` / :class:`VectorPLRU` —
   direct array transcriptions of the scalar state machines.
 * :class:`VectorRandom` — the subtle one.  The scalar policy consumes
-  one PRNG draw per conflict miss *in access order*, and every stock
+  one PRNG draw per conflict miss *in access order*.  Every stock
   instance restarts the same fixed XorShift128 stream (fresh cache per
-  trial/run ⇒ same stream everywhere).  The vector twin therefore
-  materializes the stream prefix once as a shared
-  :class:`FixedDrawTable` and gives each element its own draw counter:
-  element ``e``'s ``k``-th conflict miss reads table entry ``k`` —
-  exactly the draw its scalar cache would have made.
+  trial/run ⇒ same stream everywhere), so the vector twin materializes
+  the stream prefix once as a shared :class:`FixedDrawTable` and gives
+  each element its own draw counter: element ``e``'s ``k``-th conflict
+  miss reads table entry ``k`` — exactly the draw its scalar cache
+  would have made.  When each scalar cache owns a differently seeded
+  ``XorShift128`` (one per Bernstein epoch), the table is built per
+  lane instead, from :class:`XorShift128Lanes`.
 * :class:`VectorCounterRandom` — the counter-based mode
   (``RandomReplacement(draws=CounterStream(key))``): draw ``k`` is a
   pure function of ``(key, k)``, so no table is needed at all.
@@ -35,7 +37,7 @@ telemetry event).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,40 +50,130 @@ from repro.cache.replacement import (
     ReplacementPolicy,
     TreePLRUReplacement,
 )
+from repro.common.bitops import mask
 from repro.common.prng import XorShift128
 from repro.kernels.placement import U64, _SPLITMIX_GAMMA, splitmix64_step_vec
 
+_U32 = np.uint32
+_M64 = mask(64)
+
+
+def lane_stream_support(bound: int) -> Optional[str]:
+    """``None`` when :meth:`XorShift128Lanes.next_below` can match
+    scalar ``XorShift128.next_below(bound)`` draw for draw, else why not.
+
+    The scalar method rejection-samples ``next_bits(width)``.  Only a
+    power-of-two bound from 2 to 2**32 takes exactly one 32-bit step
+    per draw and never rejects, which is what keeps the lanes in
+    lock-step.
+    """
+    if bound & (bound - 1):
+        return "replacement:random-lanes-non-power-of-two-bound"
+    if not 2 <= bound <= 1 << 32:
+        return "replacement:random-lanes-bound-out-of-range"
+    return None
+
+
+class XorShift128Lanes:
+    """Vectorised :class:`~repro.common.prng.XorShift128`, one stream per lane.
+
+    Lane ``l`` replays ``XorShift128(seeds[l])``: the four uint32 state
+    words come from the same SplitMix64 expansion as the scalar
+    ``reseed`` (64-bit wrap included), and every :meth:`next_below`
+    call advances every lane by one step.
+    """
+
+    def __init__(self, seeds) -> None:
+        if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+            state = seeds.astype(np.uint64).ravel()
+        else:
+            # Python ints one by one: np.asarray would turn a list that
+            # mixes negatives and values >= 2**63 into lossy float64.
+            state = np.array([int(s) & _M64 for s in seeds], dtype=np.uint64)
+        words = []
+        for _ in range(4):
+            state, out = splitmix64_step_vec(state)
+            words.append((out & U64(0xFFFF_FFFF)).astype(_U32))
+        words[0][(words[0] | words[1] | words[2] | words[3]) == 0] = 1
+        self._x, self._y, self._z, self._w = words
+
+    @property
+    def num_lanes(self) -> int:
+        return int(self._x.size)
+
+    def next_u32(self) -> np.ndarray:
+        x = self._x
+        t = x ^ (x << _U32(11))
+        w = self._w
+        self._x, self._y, self._z = self._y, self._z, w
+        self._w = (w ^ (w >> _U32(19))) ^ (t ^ (t >> _U32(8)))
+        return self._w
+
+    def next_below(self, bound: int) -> np.ndarray:
+        """One draw per lane, equal to each lane's scalar ``next_below``."""
+        reason = lane_stream_support(bound)
+        if reason is not None:
+            raise ValueError(reason)
+        width = bound.bit_length() - 1
+        return (self.next_u32() >> _U32(32 - width)).astype(np.int64)
+
 
 class FixedDrawTable:
-    """Lazily materialized prefix of a sequential PRNG draw stream.
+    """Lazily materialized prefix of sequential PRNG draw streams.
 
-    Shared across batch elements: because every scalar cache instance
-    restarts the same stream, element ``e``'s ``k``-th draw is stream
-    position ``k`` regardless of ``e``.
+    ``prng`` is either one scalar generator, whose stream every batch
+    element shares (every scalar cache instance restarts the same
+    stream, so element ``e``'s ``k``-th draw is stream position ``k``
+    regardless of ``e``), or an :class:`XorShift128Lanes`, where lane
+    ``e`` owns its own stream.
     """
+
+    #: Per-lane tables grow by at least this many draws at a time, so
+    #: the vectorised generator runs a few long passes, not one per miss.
+    LANE_GROWTH = 64
 
     def __init__(self, prng, bound: int) -> None:
         self._prng = prng
         self._bound = bound
-        self._table = np.zeros(0, dtype=np.int64)
+        self._per_lane = isinstance(prng, XorShift128Lanes)
+        if self._per_lane:
+            reason = lane_stream_support(bound)
+            if reason is not None:
+                raise ValueError(reason)
+        lanes = prng.num_lanes if self._per_lane else 1
+        self._table = np.zeros((lanes, 0), dtype=np.int64)
 
     def _ensure(self, size: int) -> None:
-        if size <= self._table.size:
+        have = self._table.shape[1]
+        if size <= have:
             return
-        extra: List[int] = [
-            self._prng.next_below(self._bound)
-            for _ in range(size - self._table.size)
-        ]
-        self._table = np.concatenate(
-            [self._table, np.asarray(extra, dtype=np.int64)]
-        )
+        if self._per_lane:
+            size = max(size, have + self.LANE_GROWTH)
+            extra = np.stack(
+                [self._prng.next_below(self._bound)
+                 for _ in range(size - have)],
+                axis=1,
+            )
+        else:
+            extra = np.asarray(
+                [[self._prng.next_below(self._bound)
+                  for _ in range(size - have)]],
+                dtype=np.int64,
+            )
+        self._table = np.concatenate([self._table, extra], axis=1)
 
-    def take(self, indices: np.ndarray) -> np.ndarray:
-        """Stream values at the given positions (any int array)."""
+    def take(self, indices: np.ndarray, rows=None) -> np.ndarray:
+        """Stream values at the given positions (any int array).
+
+        Per-lane tables read position ``indices[i]`` of lane
+        ``rows[i]``'s stream; a shared table ignores ``rows``.
+        """
         if indices.size == 0:
             return np.zeros(0, dtype=np.int64)
         self._ensure(int(indices.max()) + 1)
-        return self._table[indices]
+        if self._per_lane:
+            return self._table[rows, indices]
+        return self._table[0, indices]
 
 
 class VectorReplacement:
@@ -220,7 +312,12 @@ class VectorPLRU(VectorReplacement):
 
 
 class VectorRandom(VectorReplacement):
-    """Random replacement: shared draw table + per-element counters."""
+    """Random replacement: a draw table + per-element counters.
+
+    The table is shared (every element restarts one stream) or per
+    lane (element ``e`` reads its own stream); see
+    :class:`FixedDrawTable`.
+    """
 
     def __init__(
         self,
@@ -242,7 +339,7 @@ class VectorRandom(VectorReplacement):
     def victim_ways(self, rows, sets) -> np.ndarray:
         idx = self._counters[rows]
         self._counters[rows] = idx + 1
-        return self._table.take(idx)
+        return self._table.take(idx, rows)
 
 
 class VectorCounterRandom(VectorReplacement):

@@ -171,7 +171,7 @@ class VectorHierarchyBatch:
             pid = int(pids[a])
             ifetch = bool(is_ifetch[a])
             level = self.l1i if ifetch else self.l1d
-            l1_hit = level.batch._access_mapped(
+            l1_hit = level.batch.access_mapped(
                 full(self.num_runs, l1_lines[a]),
                 l1_sets[ifetch][pid][:, a],
                 pid,
@@ -179,7 +179,7 @@ class VectorHierarchyBatch:
             times += lat.l1_hit
             l1_miss = ~l1_hit
             if l1_miss.any():
-                l2_hit = self.l2.batch._access_mapped(
+                l2_hit = self.l2.batch.access_mapped(
                     full(self.num_runs, l2_lines[a]),
                     l2_sets[pid][:, a],
                     pid,

@@ -1,11 +1,14 @@
 """Tests for the vectorized AES timing engine and its cold-line model,
 including consistency against the scalar cache hierarchy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cache.core import ARM920T_L1_GEOMETRY
 from repro.common.trace import MemoryAccess
+from repro.core import batch as batch_module
 from repro.core.batch import (
     NUM_TABLE_LINES,
     OTHER_PID,
@@ -13,10 +16,11 @@ from repro.core.batch import (
     AESTimingEngine,
     ColdLineModel,
     EngineConfig,
+    Shard,
     default_background,
     lookup_line_ids,
 )
-from repro.core.setups import make_setup
+from repro.core.setups import SETUP_NAMES, make_setup
 from repro.crypto.aes import AES128, DEFAULT_TABLE_BASE
 
 
@@ -86,6 +90,105 @@ class TestColdLineModel:
         assert det.estimate_interference_events(1, 2) == 0
         rp = ColdLineModel(make_setup("rpcache"), background)
         assert rp.estimate_interference_events(1, 2) > 0
+
+
+def campaign_epochs(setup_name, per_party=16):
+    """Epoch tuples of a 300k-sample cell's real seed plan: the first
+    ``per_party`` blocks of each party, each with and without the
+    other process's interval."""
+    engine = AESTimingEngine(make_setup(setup_name))
+    epochs = []
+    for party in ("victim", "attacker"):
+        blocks = engine.epoch_blocks(300_000, party, 0xC0DE)[:per_party]
+        for _, _, _, (victim, other, _, replacement) in blocks:
+            for include_other in (True, False):
+                epochs.append((victim, other, include_other, replacement))
+    return engine.cold_model, epochs
+
+
+class TestEpochStates:
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    def test_batched_equals_scalar_oracle(self, setup_name):
+        model, epochs = campaign_epochs(setup_name)
+        if make_setup(setup_name).l1_replacement == "random":
+            assert len(epochs) >= 64
+            # Both parties' replacement salts are in the plan.
+            assert len({epoch[3] for epoch in epochs}) == len(epochs) // 2
+        cold, line_set = model.epoch_states(epochs)
+        assert cold.shape == line_set.shape == (len(epochs), NUM_TABLE_LINES)
+        assert cold.dtype == bool and line_set.dtype == np.int64
+        for row, epoch in enumerate(epochs):
+            expected_cold, expected_sets = model.epoch_state(*epoch)
+            assert np.array_equal(cold[row], expected_cold), epoch
+            assert np.array_equal(line_set[row], expected_sets), epoch
+        # The replay must not be trivial: some epoch leaves lines cold.
+        assert cold.any()
+
+    def test_lane_chunks_are_invisible(self, monkeypatch):
+        model, epochs = campaign_epochs("tscache", per_party=6)
+        whole = model.epoch_states(epochs)
+        monkeypatch.setattr(batch_module, "EPOCH_LANES", 5)
+        chunked = model.epoch_states(epochs)
+        assert np.array_equal(whole[0], chunked[0])
+        assert np.array_equal(whole[1], chunked[1])
+
+    def test_no_epochs(self):
+        model, _ = campaign_epochs("deterministic")
+        cold, line_set = model.epoch_states([])
+        assert cold.shape == line_set.shape == (0, NUM_TABLE_LINES)
+
+
+def record_epoch_batches(monkeypatch):
+    """Record the epoch list of every ``epoch_states`` call."""
+    calls = []
+    original = ColdLineModel.epoch_states
+
+    def recording(model, epochs):
+        calls.append(list(epochs))
+        return original(model, epochs)
+
+    monkeypatch.setattr(ColdLineModel, "epoch_states", recording)
+    return calls
+
+
+class TestEpochBatching:
+    @pytest.mark.parametrize("setup_name", ("mbpta", "tscache"))
+    def test_shard_batches_only_overlapping_epochs(self, setup_name,
+                                                   monkeypatch):
+        engine = AESTimingEngine(make_setup(setup_name),
+                                 rng=np.random.default_rng(3))
+        key = bytes(range(16))
+        full = engine.collect(key, 8192)
+        calls = record_epoch_batches(monkeypatch)
+        shard = Shard(index=1, num_shards=3, start=2048, end=5120)
+        part = engine.collect_shard(key, 8192, shard)
+        expected = [
+            epoch for start, end, _, epoch
+            in engine.epoch_blocks(8192, "victim", 0xC0DE)
+            if start < shard.end and end > shard.start
+        ]
+        assert calls == [expected]
+        assert len(expected) == 3
+        assert np.array_equal(part.timings, full.timings[2048:5120])
+
+    def test_many_epochs_never_replay_scalar(self, monkeypatch):
+        """More epochs than any memo could hold: every one is batched,
+        none falls back to a scalar replay."""
+        setup = dataclasses.replace(make_setup("tscache"), reseed_every=1)
+        engine = AESTimingEngine(setup, rng=np.random.default_rng(4))
+        scalar_calls = []
+        original = ColdLineModel.epoch_state
+
+        def counting(model, *args, **kwargs):
+            scalar_calls.append(args)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(ColdLineModel, "epoch_state", counting)
+        batches = record_epoch_batches(monkeypatch)
+        samples = engine.collect(bytes(range(16)), 4100)
+        assert samples.num_samples == 4100
+        assert [len(epochs) for epochs in batches] == [4100]
+        assert scalar_calls == []
 
 
 class TestEngineTimings:

@@ -15,10 +15,11 @@ shrink-free generators, as in ``test_cache_properties.py``):
   per-trial ``seed_victim`` hook, and independently of how a block is
   tiled;
 * every vectorized replacement engine (LRU, FIFO, NRU, tree-PLRU,
-  random in both fixed-stream and counter-stream modes) and the
-  RPCache batch (permutation placement + interference redirection)
-  replay conflict-heavy traces bit-identically to banks of scalar
-  caches;
+  random in fixed-stream, per-lane-stream and counter-stream modes)
+  and the RPCache batch (permutation placement + interference
+  redirection) replay conflict-heavy traces bit-identically to banks
+  of scalar caches, and the per-lane XorShift128 streams equal the scalar
+  generator draw for draw (unsupported bounds carry a reason);
 * the capability probe refuses everything outside the envelope
   (an externally-owned replacement PRNG, consumed draw streams,
   protected ranges, subclasses, wide hashRP lines) with a
@@ -55,6 +56,12 @@ from repro.kernels import (
     supports_vector_cache,
     vector_cache_support,
     vector_placement,
+)
+from repro.kernels.replacement import (
+    FixedDrawTable,
+    VectorRandom,
+    XorShift128Lanes,
+    lane_stream_support,
 )
 
 from test_cache_properties import (
@@ -184,11 +191,17 @@ def replay_trace_check(factory, num_trials=6, steps=200, seed_parts=()):
     and the final resident lines agree.  Returns the scalar caches so
     callers can assert the interesting path (draws, redirects) was
     actually exercised."""
-    template = factory()
-    geometry = template.geometry
     batch = make_vector_batch(factory(), num_trials)
     assert batch is not None
     scalars = [factory() for _ in range(num_trials)]
+    return replay_pair_check(batch, scalars, steps, seed_parts)
+
+
+def replay_pair_check(batch, scalars, steps=200, seed_parts=()):
+    """:func:`replay_trace_check` over a ready batch and its scalar
+    caches, one per trial (for trials whose caches differ)."""
+    num_trials = len(scalars)
+    geometry = scalars[0].geometry
     rng = random.Random(stable_seed("replay", *seed_parts))
     # ~2x capacity so conflict misses (the draw-consuming path) occur.
     pool = [rng.getrandbits(22) * geometry.line_size
@@ -268,6 +281,35 @@ class TestReplacementEquivalence:
         assert replayed == [stream.draw(k, 4) for k in range(64)]
         assert len(set(replayed)) > 1
 
+    def test_per_lane_random_streams_bit_identical(self):
+        """Random replacement where every trial's cache owns its own
+        seeded XorShift128 (the Bernstein epoch caches): a per-lane
+        draw table replays each trial's stream."""
+        geometry = GEOMETRIES[0]
+        seeds = [0, 1, 0x5EED_BA5E, (1 << 64) - 1, 0xA77A, 12345]
+
+        def cache(seed):
+            return SetAssociativeCache(
+                geometry,
+                make_placement("random_modulo", geometry.layout()),
+                RandomReplacement(geometry.num_sets, geometry.num_ways,
+                                  prng=XorShift128(seed)),
+            )
+
+        template = cache(0)
+        lanes = len(seeds)
+        batch = VectorCacheBatch(
+            geometry, vector_placement(template.placement), lanes,
+            replacement=VectorRandom(
+                lanes, geometry.num_sets, geometry.num_ways,
+                FixedDrawTable(XorShift128Lanes(seeds), geometry.num_ways),
+            ),
+        )
+        scalars = replay_pair_check(
+            batch, [cache(seed) for seed in seeds], seed_parts=("lanes",)
+        )
+        assert all(c.replacement.draws_consumed > 0 for c in scalars)
+
     def test_rpcache_trace_replay_bit_identical(self):
         """RPCache's permutation-table placement plus the randomized
         cross-process interference redirects, trial-parallel."""
@@ -277,6 +319,65 @@ class TestReplacementEquivalence:
         )
         # The interference stream must actually have fired.
         assert sum(c.randomized_evictions for c in scalars) > 0
+
+
+class TestLaneStreams:
+    """The vectorised per-lane XorShift128 behind per-epoch random
+    replacement streams."""
+
+    #: Small seeds, seeds near the 64-bit wrap (and negative ones,
+    #: which the scalar reseed wraps the same way) and random ones.
+    SEEDS = (
+        list(range(64))
+        + [(1 << 64) - 1 - i for i in range(64)]
+        + [(1 << 63) + i - 32 for i in range(32)]
+        + [-1 - i for i in range(32)]
+        + [random.Random(5).getrandbits(64) for _ in range(64)]
+    )
+
+    @pytest.mark.parametrize("bound,draws", [(4, 1024), (2, 64), (128, 64),
+                                             (1 << 32, 64)])
+    def test_matches_scalar_next_below(self, bound, draws):
+        assert len(self.SEEDS) >= 256
+        lanes = XorShift128Lanes(self.SEEDS)
+        got = np.stack([lanes.next_below(bound) for _ in range(draws)],
+                       axis=1)
+        for lane, seed in enumerate(self.SEEDS):
+            prng = XorShift128(seed)
+            expected = [prng.next_below(bound) for _ in range(draws)]
+            assert got[lane].tolist() == expected, seed
+
+    def test_integer_array_seeds_match_python_ints(self):
+        seeds = np.array([0, 7, -3, 1 << 40], dtype=np.int64)
+        from_array = XorShift128Lanes(seeds).next_below(4)
+        from_ints = XorShift128Lanes([int(s) for s in seeds]).next_below(4)
+        assert from_array.tolist() == from_ints.tolist()
+
+    def test_per_lane_table_reads_each_lane_stream(self):
+        seeds = [3, 4, 5]
+        table = FixedDrawTable(XorShift128Lanes(seeds), 4)
+        positions = np.array([0, 130, 7])
+        got = table.take(positions, np.array([0, 1, 2]))
+        for value, seed, position in zip(got, seeds, positions):
+            prng = XorShift128(seed)
+            draws = [prng.next_below(4) for _ in range(position + 1)]
+            assert value == draws[-1]
+
+    @pytest.mark.parametrize("bound,reason", [
+        (3, "replacement:random-lanes-non-power-of-two-bound"),
+        (6, "replacement:random-lanes-non-power-of-two-bound"),
+        (1, "replacement:random-lanes-bound-out-of-range"),
+        (1 << 33, "replacement:random-lanes-bound-out-of-range"),
+    ])
+    def test_unsupported_bound_has_envelope_reason(self, bound, reason):
+        """Rejection sampling would desynchronise the lanes: such
+        bounds are refused with a reason, never replayed wrongly."""
+        assert lane_stream_support(bound) == reason
+        assert lane_stream_support(4) is None
+        with pytest.raises(ValueError, match=reason):
+            XorShift128Lanes([1, 2]).next_below(bound)
+        with pytest.raises(ValueError, match=reason):
+            FixedDrawTable(XorShift128Lanes([1, 2]), bound)
 
 
 def contention_geometry():
