@@ -2,8 +2,9 @@
 
 Measures the batched NumPy kernels (:mod:`repro.kernels`) against the
 scalar loops on the hot paths — contention-attack trial blocks, trace
-replay (pwcet run batches, missrate set-parallel rounds) and the
-Bernstein engine's per-epoch cold-line replay — building each cell
+replay (pwcet run batches, missrate set-parallel rounds), the
+Bernstein engine's per-epoch cold-line replay and its fused AES timing
+pass (against the per-block pipeline it replaced) — building each cell
 exactly the way a campaign does (same specs, same per-trial seed
 hooks, same epoch seed plan).  Every measured pair is also asserted
 bit-identical — a benchmark that drifted from the scalar semantics
@@ -52,8 +53,13 @@ from repro.campaigns.experiments import (
     run_missrate,
 )
 from repro.campaigns.registry import KernelResolution
-from repro.core.batch import AESTimingEngine
+from repro.core.batch import (
+    NUM_TABLE_LINES,
+    AESTimingEngine,
+    lookup_line_ids,
+)
 from repro.core.setups import make_setup
+from repro.crypto.aes import AES128
 from benchmarks.reporting import emit
 
 DEFAULT_JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_kernels.json")
@@ -101,6 +107,19 @@ EPOCH_REPLAYS = (
     # (setup, samples, floor)
     ("mbpta", 300_000, 5.0),
     ("tscache", 300_000, 5.0),
+)
+
+
+#: Bernstein timing assembly: the per-1024-row ``encrypt_batch`` +
+#: ``lookup_line_ids`` + touched-line scatter pipeline against the
+#: engine's fused ``line_masks`` pass, over one campaign-default
+#: 300 000-sample victim collection (plaintext draws and the cold-line
+#: replay included on both sides).  "rpcache" adds the per-encryption
+#: interference draws.
+AES_TIMINGS = (
+    # (setup, samples, floor)
+    ("deterministic", 300_000, 2.0),
+    ("rpcache", 300_000, 2.0),
 )
 
 
@@ -243,6 +262,71 @@ def _bench_epoch_states(setup, samples, floor, repeats) -> dict:
                 int(scalar_cold.sum()), scalar_s, vector_s)
 
 
+def _per_block_timings(engine, key, samples) -> np.ndarray:
+    """A victim collection's timings the pre-fused way: per RNG block,
+    encrypt, map every lookup to its line, scatter into an (n, 160)
+    touched matrix and reduce it against the cold lines."""
+    aes = AES128(key)
+    config = engine.config
+    num_sets = engine.cold_model.geometry.num_sets
+    blocks = engine.epoch_blocks(samples, "victim", 0xC0DE)
+    colds, line_sets = engine.cold_model.epoch_states(
+        [epoch for _, _, _, epoch in blocks]
+    )
+    timings = np.empty(samples)
+    for (start, end, events, _), cold, line_set in zip(
+        blocks, colds, line_sets
+    ):
+        for rng_start in range(start, end, config.rng_block):
+            rng_end = min(end, (rng_start // config.rng_block + 1)
+                          * config.rng_block)
+            rng = engine._block_rng("victim", 0xC0DE, rng_start)
+            block = rng.integers(0, 256, size=(rng_end - rng_start, 16),
+                                 dtype=np.uint8)
+            lines = lookup_line_ids(aes.encrypt_batch(block)[1])
+            n = len(block)
+            rows = np.arange(n)[:, None]
+            accessed = np.zeros((n, NUM_TABLE_LINES), dtype=bool)
+            accessed[rows, lines] = True
+            cold_hits = (accessed & cold[None, :]).sum(axis=1)
+            out = config.base_cycles + config.miss_penalty * cold_hits
+            if events > 0:
+                set_to_line = np.full(num_sets, -1, dtype=np.int64)
+                for line in range(NUM_TABLE_LINES - 1, -1, -1):
+                    if not cold[line]:
+                        set_to_line[line_set[line]] = line
+                evicted = set_to_line[
+                    rng.integers(0, num_sets, size=(n, events))
+                ]
+                valid = evicted >= 0
+                touched = accessed[rows, np.where(valid, evicted, 0)] & valid
+                out = out + config.miss_penalty * touched.sum(axis=1).astype(
+                    float
+                )
+            timings[rng_start:rng_end] = out
+    return timings
+
+
+def _bench_aes_timings(setup, samples, floor, repeats) -> dict:
+    spec = _bench_spec("bernstein", setup, (), samples)
+    resolved = KernelResolution(resolve_engine_kernel(spec))
+    engine = AESTimingEngine(make_setup(setup))
+    key = bytes(range(16))
+    scalar_s, scalar_timings = _time_fn(
+        lambda: _per_block_timings(engine, key, samples), repeats
+    )
+    vector_s, vector_timings = _time_fn(
+        lambda: engine.collect(key, samples).timings, repeats
+    )
+    if not np.array_equal(scalar_timings, vector_timings):
+        raise AssertionError(
+            f"aes_timings/{setup}: fused pass diverged from the "
+            "per-block pipeline"
+        )
+    return _row("aes_timings", setup, (), samples, floor, resolved,
+                int(scalar_timings.sum()), scalar_s, vector_s)
+
+
 def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
     """Measure every setup; returns the BENCH_kernels.json document."""
     rows = []
@@ -259,6 +343,8 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
             rows.append(_bench_missrate(label, params, floor, repeats))
     for setup, samples, floor in EPOCH_REPLAYS:
         rows.append(_bench_epoch_states(setup, samples, floor, repeats))
+    for setup, samples, floor in AES_TIMINGS:
+        rows.append(_bench_aes_timings(setup, samples, floor, repeats))
     return {
         "bench": "kernels",
         "schema": 2,

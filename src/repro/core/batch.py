@@ -18,19 +18,26 @@ computation the way the physics factors:
    replay through the real :class:`~repro.cache.core.SetAssociativeCache`
    stays as the oracle the batched pass is tested against.
 
-2. **Per-encryption timing (vectorized).**  An encryption's time is
-   the fixed pipeline+hit baseline plus one L2-hit penalty per
+2. **Per-encryption timing (one fused pass).**  An encryption's time
+   is the fixed pipeline+hit baseline plus one L2-hit penalty per
    *distinct cold table line it touches* — exactly the quantity the
-   scalar hierarchy would charge, evaluated with NumPy across
-   thousands of encryptions at once (the AES lookup streams come from
-   :meth:`repro.crypto.aes.AES128.encrypt_batch`, which is verified
-   against the scalar implementation).
+   scalar hierarchy would charge.
+   :meth:`repro.crypto.aes.AES128.line_masks` encrypts up to
+   ``chunk_size`` rows at a time and reduces each encryption's 160
+   lookups on the fly to one 32-bit mask per table of the lines it
+   touched; the cold lines of each state are packed the same way, so
+   the charge is a popcount of their AND.  The masks share their
+   rounds with :meth:`~repro.crypto.aes.AES128.encrypt_batch`, which
+   is verified against the scalar cipher, and the tests pin the fused
+   pass to the ``encrypt_batch`` + :func:`lookup_line_ids` pipeline it
+   replaced.
 
 RPCache's randomized interference is modelled faithfully to its
 semantics: the deterministic cold lines caused by *other-process*
 contention are removed (RPCache redirects those evictions to random
 sets) and replaced by per-encryption evictions of random sets, which
-hit random table lines.
+hit random table lines.  Each eviction draw reads the touched line's
+bit from the same masks.
 
 3. **Block-structured randomness (intra-cell sharding).**  The sample
    budget is partitioned into *collection blocks* whose boundaries
@@ -736,6 +743,8 @@ class EngineConfig:
     #: Extra cycles for a table lookup resolved in L2 (L1 miss).
     miss_penalty: float = 10.0
     table_base: int = DEFAULT_TABLE_BASE
+    #: Rows per fused encryption + timing pass (bounds its
+    #: temporaries); also caps the RNG block (see :attr:`rng_block`).
     chunk_size: int = 16384
     #: Encryptions per replacement-state realisation for caches with
     #: random replacement (the eviction choices vary per background
@@ -958,34 +967,59 @@ class AESTimingEngine:
         """(plaintexts, timings) for samples ``[lo, hi)`` of the budget."""
         aes = AES128(key)
         plaintexts = np.empty((hi - lo, 16), dtype=np.uint8)
-        timings = np.empty(hi - lo, dtype=float)
-        chunk = self.config.rng_block
+        rng_block = self.config.rng_block
         blocks = self.epoch_blocks(num_samples, party, campaign_seed, lo, hi)
         colds, line_sets = self.cold_model.epoch_states(
             [epoch for _, _, _, epoch in blocks]
         )
-        for (block_start, block_end, events, _), cold, line_set in zip(
-            blocks, colds, line_sets
-        ):
-            # RNG blocks: split the realisation at absolute rng_block
-            # multiples.  Each owns a child stream keyed by its start
-            # position, so output never depends on which shard
-            # computes it.
+        cold_bits = _pack_line_masks(colds)
+        # RNG blocks: split each cold-state block at absolute rng_block
+        # multiples.  Each owns a child stream keyed by its start
+        # position, so output never depends on which shard computes
+        # it.  Plaintexts come first in every stream; the generator is
+        # kept for the block's interference draws, which follow.
+        segments = []  # (out_start, out_end, cold-state block, stream)
+        for index, (block_start, block_end, _, _) in enumerate(blocks):
             rng_start = block_start
             while rng_start < block_end:
-                rng_end = min(block_end, (rng_start // chunk + 1) * chunk)
+                rng_end = min(block_end,
+                              (rng_start // rng_block + 1) * rng_block)
                 if rng_end > lo and rng_start < hi:
-                    block_rng = self._block_rng(party, campaign_seed, rng_start)
-                    block = block_rng.integers(
-                        0, 256, size=(rng_end - rng_start, 16), dtype=np.uint8
+                    block_rng = self._block_rng(party, campaign_seed,
+                                                rng_start)
+                    start, end = rng_start - lo, rng_end - lo
+                    plaintexts[start:end] = block_rng.integers(
+                        0, 256, size=(end - start, 16), dtype=np.uint8
                     )
-                    _, lookup_bytes = aes.encrypt_batch(block)
-                    out = slice(rng_start - lo, rng_end - lo)
-                    plaintexts[out] = block
-                    timings[out] = self._chunk_timings(
-                        lookup_bytes, cold, line_set, events, block_rng
-                    )
+                    segments.append((start, end, index, block_rng))
                 rng_start = rng_end
+
+        timings = np.empty(hi - lo, dtype=float)
+        targets = {
+            index: self._eviction_targets(colds[index], line_sets[index])
+            for index, (_, _, events, _) in enumerate(blocks)
+            if events > 0
+        }
+        for run in _runs(segments, self.config.chunk_size):
+            run_start, run_end = run[0][0], run[-1][1]
+            masks = aes.line_masks(plaintexts[run_start:run_end])
+            # Each row's cold lines, packed like its masks.
+            owner = np.repeat(
+                [index for _, _, index, _ in run],
+                [end - start for start, end, _, _ in run],
+            )
+            cold_hits = np.bitwise_count(masks & cold_bits[owner].T).sum(
+                axis=0, dtype=np.int64
+            )
+            timings[run_start:run_end] = (
+                self.config.base_cycles + self.config.miss_penalty * cold_hits
+            )
+            for start, end, index, block_rng in run:
+                if index in targets:
+                    timings[start:end] += self._interference_noise(
+                        masks[:, start - run_start:end - run_start],
+                        targets[index], blocks[index][2], block_rng,
+                    )
         return plaintexts, timings
 
     def epoch_blocks(
@@ -1035,31 +1069,31 @@ class AESTimingEngine:
 
     # -- timing math ----------------------------------------------------------------
 
-    def _chunk_timings(
-        self,
-        lookup_bytes: np.ndarray,
-        cold_mask: np.ndarray,
-        line_set: np.ndarray,
-        interference_events: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        lines = lookup_line_ids(lookup_bytes)
-        n = lines.shape[0]
-        accessed = np.zeros((n, NUM_TABLE_LINES), dtype=bool)
-        accessed[np.arange(n)[:, None], lines] = True
-        cold_hits = (accessed & cold_mask[None, :]).sum(axis=1)
-        timings = self.config.base_cycles + self.config.miss_penalty * cold_hits
-        if interference_events > 0:
-            timings = timings + self._interference_noise(
-                accessed, cold_mask, line_set, interference_events, rng
-            )
-        return timings
+    def _eviction_targets(
+        self, cold_mask: np.ndarray, line_set: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per L1 set, the table line a random eviction there costs.
+
+        Random evictions in a set push out at most one table line of
+        interest: the lowest-numbered warm line mapped there.  Returns
+        that line's :meth:`~repro.crypto.aes.AES128.line_masks` row and
+        bit per set; the bit is 0 where the set holds no warm line.
+        """
+        set_to_line = np.full(self.cold_model.geometry.num_sets, -1,
+                              dtype=np.int64)
+        for line in range(NUM_TABLE_LINES - 1, -1, -1):
+            if not cold_mask[line]:
+                set_to_line[line_set[line]] = line
+        warm = set_to_line >= 0
+        return (
+            np.where(warm, set_to_line >> 5, 0),
+            np.where(warm, np.left_shift(1, set_to_line & 31), 0),
+        )
 
     def _interference_noise(
         self,
-        accessed: np.ndarray,
-        cold_mask: np.ndarray,
-        line_set: np.ndarray,
+        masks: np.ndarray,
+        targets: Tuple[np.ndarray, np.ndarray],
         events: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
@@ -1069,20 +1103,34 @@ class AESTimingEngine:
         random set; when that set holds a (warm) table line, the next
         encryption pays a miss on it if it touches the line.
         """
-        n = accessed.shape[0]
-        num_sets = self.cold_model.geometry.num_sets
-        # A representative table line per set (or -1): random evictions
-        # in a set push out at most one table line of interest.
-        set_to_line = np.full(num_sets, -1, dtype=np.int64)
-        for line in range(NUM_TABLE_LINES - 1, -1, -1):
-            if not cold_mask[line]:
-                set_to_line[line_set[line]] = line
-        draws = rng.integers(0, num_sets, size=(n, events))
-        evicted_lines = set_to_line[draws]  # (n, events), -1 = no table line
-        valid = evicted_lines >= 0
-        safe_lines = np.where(valid, evicted_lines, 0)
-        touched = accessed[np.arange(n)[:, None], safe_lines] & valid
-        return self.config.miss_penalty * touched.sum(axis=1).astype(float)
+        set_word, set_bit = targets
+        n = masks.shape[1]
+        draws = rng.integers(0, len(set_word), size=(n, events))
+        words = masks[set_word[draws], np.arange(n)[:, None]]
+        touched = np.count_nonzero(words & set_bit[draws], axis=1)
+        return self.config.miss_penalty * touched.astype(float)
+
+
+def _pack_line_masks(lines: np.ndarray) -> np.ndarray:
+    """``(E, 160)`` per-line flags as ``(E, 5)`` int64 bitmasks.
+
+    Bit ``j`` of column ``t`` is line ``32 t + j`` — the layout of
+    :meth:`~repro.crypto.aes.AES128.line_masks`.
+    """
+    per_table = lines.reshape(len(lines), 5, 32).astype(np.int64)
+    return (per_table << np.arange(32, dtype=np.int64)).sum(axis=2)
+
+
+def _runs(segments: Sequence[tuple], max_rows: int) -> List[List[tuple]]:
+    """Consecutive ``(start, end, ...)`` segments grouped into runs of
+    at most ``max_rows`` rows (a longer segment runs alone)."""
+    runs: List[List[tuple]] = []
+    for segment in segments:
+        if runs and segment[1] - runs[-1][0][0] <= max_rows:
+            runs[-1].append(segment)
+        else:
+            runs.append([segment])
+    return runs
 
 
 def default_background() -> BackgroundWorkload:

@@ -7,7 +7,10 @@ Two implementations share the same tables:
   surface the paper's case study attacks).
 * :meth:`AES128.encrypt_batch` — NumPy-vectorized over many blocks,
   returning both ciphertexts and the (N, 160) matrix of lookup byte
-  indices that the batch cache engine consumes.
+  indices.
+* :meth:`AES128.line_masks` — the same vectorized rounds, reduced on
+  the fly to one bitmask per table of the lines each encryption
+  touches: what the batch timing engine consumes.
 
 Verified against the FIPS-197 vectors in the test suite.
 """
@@ -15,8 +18,9 @@ Verified against the FIPS-197 vectors in the test suite.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,11 +29,27 @@ from repro.crypto.tables import RCON, SBOX, TE4, TE_TABLES
 #: Lookups per encryption: 9 main rounds x 16 + 16 final-round lookups.
 LOOKUPS_PER_ENCRYPTION = 160
 
+#: Lookups of rounds 1..9, which cycle Te0..Te3; the rest hit Te4.
+MAIN_ROUND_LOOKUPS = 144
+
 #: Default base address of the T-tables in the victim's address space.
 DEFAULT_TABLE_BASE = 0x0010_0000
 
 #: Bytes per table (256 entries x 4 bytes).
 TABLE_BYTES = 1024
+
+#: ``_LINE_BITS[b]`` — the mask bit of the table line holding entry
+#: ``b`` (32-byte lines hold eight 4-byte entries), stored above the
+#: 32-bit entry itself so one gather fetches both.
+_LINE_BITS = np.left_shift(1, 32 + (np.arange(256, dtype=np.int64) >> 3))
+
+#: Memory offsets of an int64's four low bytes, least significant first.
+_BYTE_OFFSETS = (0, 1, 2, 3) if sys.byteorder == "little" else (7, 6, 5, 4)
+
+
+def _with_line_bits(table: Sequence[int]) -> np.ndarray:
+    """A 256-entry table as int64 with each entry's line bit on top."""
+    return np.array(table, dtype=np.int64) | _LINE_BITS
 
 
 @dataclass(frozen=True)
@@ -50,6 +70,11 @@ def random_key(rng: Optional[np.random.Generator] = None) -> bytes:
     return bytes(int(b) for b in rng.integers(0, 256, size=16, dtype=np.uint8))
 
 
+def _check_blocks(plaintexts: np.ndarray) -> None:
+    if plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
+        raise ValueError("plaintexts must have shape (N, 16)")
+
+
 def _bytes_to_words(data: bytes) -> List[int]:
     """Big-endian 32-bit words from 16 bytes."""
     return [int.from_bytes(data[i : i + 4], "big") for i in range(0, 16, 4)]
@@ -67,10 +92,9 @@ class AES128:
             raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
         self.key = bytes(key)
         self.round_keys = self._expand_key(self.key)
-        self._np_round_keys = np.array(self.round_keys, dtype=np.uint32)
-        self._np_te = [np.array(t, dtype=np.uint32) for t in TE_TABLES]
-        self._np_te4 = np.array(TE4, dtype=np.uint32)
-        self._np_sbox = np.array(SBOX, dtype=np.uint32)
+        self._np_round_keys = np.array(self.round_keys, dtype=np.int64)
+        self._np_te = [_with_line_bits(t) for t in TE_TABLES]
+        self._np_te4 = _with_line_bits(TE4)
 
     # -- key schedule ------------------------------------------------------
 
@@ -209,6 +233,72 @@ class AES128:
 
     # -- vectorized encryption ----------------------------------------------------
 
+    def _round_loop(
+        self,
+        plaintexts: np.ndarray,
+        visit: Callable[[int, Sequence[np.ndarray], Sequence[np.ndarray]],
+                        None],
+    ) -> List[np.ndarray]:
+        """The T-table rounds over ``(N, 16)`` blocks at once.
+
+        Each column of each round calls ``visit(k, bytes, entries)``
+        with the byte indices of lookups ``k .. k+3`` (in issue order)
+        and the table entries they fetched; returns the four output
+        words.  State words are int64, their four bytes read in place
+        through uint8 views: the entries carry their line bit above
+        bit 31 (see :data:`_LINE_BITS`), which those views never see.
+        """
+        rk = self._np_round_keys
+        te = self._np_te
+
+        def column(s, col):
+            # Bytes 3, 2, 1, 0 of words col .. col+3, read in place.
+            return tuple(
+                s[(col + j) % 4].view(np.uint8)[_BYTE_OFFSETS[3 - j]::8]
+                for j in range(4)
+            )
+
+        # Each block's 16 bytes are 4 big-endian words.
+        words = (
+            np.ascontiguousarray(plaintexts, dtype=np.uint8)
+            .view(">u4").astype(np.int64)
+        )
+        s = [words[:, c] ^ rk[c] for c in range(4)]
+        k = 0
+        for round_index in range(1, 10):
+            t = []
+            for col in range(4):
+                indices = column(s, col)
+                # In-range indices: "clip" skips the bounds check.
+                entries = [
+                    te[table].take(index, mode="clip")
+                    for table, index in enumerate(indices)
+                ]
+                visit(k, indices, entries)
+                k += 4
+                word = entries[0] ^ entries[1]
+                word ^= entries[2]
+                word ^= entries[3]
+                word ^= rk[4 * round_index + col]
+                t.append(word)
+            s = t
+
+        # Final round: SubBytes + ShiftRows via Te4 byte extraction.
+        te4 = self._np_te4
+        out = []
+        for col in range(4):
+            indices = column(s, col)
+            entries = [te4.take(index, mode="clip") for index in indices]
+            visit(k, indices, entries)
+            k += 4
+            out.append((
+                (entries[0] & 0xFF000000)
+                | (entries[1] & 0x00FF0000)
+                | (entries[2] & 0x0000FF00)
+                | (entries[3] & 0x000000FF)
+            ) ^ rk[40 + col])
+        return out
+
     def encrypt_batch(
         self, plaintexts: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,69 +319,51 @@ class AES128:
             ``k`` is fixed by position (see :func:`lookup_table_ids`)
             and identical across encryptions.
         """
-        if plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
-            raise ValueError("plaintexts must have shape (N, 16)")
-        pt = plaintexts.astype(np.uint32)
-        n = pt.shape[0]
-        rk = self._np_round_keys
-        te = self._np_te
+        _check_blocks(plaintexts)
+        lookup_bytes = np.empty(
+            (plaintexts.shape[0], LOOKUPS_PER_ENCRYPTION), dtype=np.uint8
+        )
 
-        # Pack bytes into 4 big-endian words per block.
-        s = [
-            (pt[:, 4 * c] << 24) | (pt[:, 4 * c + 1] << 16)
-            | (pt[:, 4 * c + 2] << 8) | pt[:, 4 * c + 3]
-            for c in range(4)
-        ]
-        s = [w ^ rk[c] for c, w in enumerate(s)]
+        def record(k, indices, entries):
+            for j, index in enumerate(indices):
+                lookup_bytes[:, k + j] = index
 
-        lookup_bytes = np.empty((n, LOOKUPS_PER_ENCRYPTION), dtype=np.uint8)
-        pos = 0
-
-        for round_index in range(1, 10):
-            t = []
-            for col in range(4):
-                b0 = (s[col] >> np.uint32(24)) & np.uint32(0xFF)
-                b1 = (s[(col + 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)
-                b2 = (s[(col + 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)
-                b3 = s[(col + 3) % 4] & np.uint32(0xFF)
-                lookup_bytes[:, pos] = b0
-                lookup_bytes[:, pos + 1] = b1
-                lookup_bytes[:, pos + 2] = b2
-                lookup_bytes[:, pos + 3] = b3
-                pos += 4
-                t.append(
-                    te[0][b0] ^ te[1][b1] ^ te[2][b2] ^ te[3][b3]
-                    ^ rk[4 * round_index + col]
-                )
-            s = t
-
-        out_words = []
-        te4 = self._np_te4
-        for col in range(4):
-            b0 = (s[col] >> np.uint32(24)) & np.uint32(0xFF)
-            b1 = (s[(col + 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)
-            b2 = (s[(col + 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)
-            b3 = s[(col + 3) % 4] & np.uint32(0xFF)
-            lookup_bytes[:, pos] = b0
-            lookup_bytes[:, pos + 1] = b1
-            lookup_bytes[:, pos + 2] = b2
-            lookup_bytes[:, pos + 3] = b3
-            pos += 4
-            word = (
-                (te4[b0] & np.uint32(0xFF000000))
-                | (te4[b1] & np.uint32(0x00FF0000))
-                | (te4[b2] & np.uint32(0x0000FF00))
-                | (te4[b3] & np.uint32(0x000000FF))
-            ) ^ rk[40 + col]
-            out_words.append(word)
-
-        ciphertexts = np.empty((n, 16), dtype=np.uint8)
+        out_words = self._round_loop(plaintexts, record)
+        ciphertexts = np.empty((plaintexts.shape[0], 16), dtype=np.uint8)
         for c, word in enumerate(out_words):
-            ciphertexts[:, 4 * c] = (word >> np.uint32(24)) & np.uint32(0xFF)
-            ciphertexts[:, 4 * c + 1] = (word >> np.uint32(16)) & np.uint32(0xFF)
-            ciphertexts[:, 4 * c + 2] = (word >> np.uint32(8)) & np.uint32(0xFF)
-            ciphertexts[:, 4 * c + 3] = word & np.uint32(0xFF)
+            ciphertexts[:, 4 * c] = word >> 24
+            ciphertexts[:, 4 * c + 1] = (word >> 16) & 0xFF
+            ciphertexts[:, 4 * c + 2] = (word >> 8) & 0xFF
+            ciphertexts[:, 4 * c + 3] = word & 0xFF
         return ciphertexts, lookup_bytes
+
+    def line_masks(self, plaintexts: np.ndarray) -> np.ndarray:
+        """Which table lines each of N encryptions touches, as bitmasks.
+
+        Returns a ``(5, N) int64`` array: bit ``l`` of ``masks[t, i]``
+        is set when encryption ``i`` looks up some entry of line ``l``
+        (entries ``8l .. 8l+7``) of table ``t`` (0..3 the main-round
+        tables, 4 the final-round one).  Equals the distinct lines of
+        :func:`repro.core.batch.lookup_line_ids` over
+        :meth:`encrypt_batch`'s lookups, without materialising the
+        ``(N, 160)`` lookup matrix.
+        """
+        _check_blocks(plaintexts)
+        # Entries carry their line bit at bit 32 + line: OR every
+        # fetched entry into its table's accumulator, then keep the
+        # top half.
+        acc = np.zeros((5, plaintexts.shape[0]), dtype=np.int64)
+
+        def mark(k, indices, entries):
+            if k < MAIN_ROUND_LOOKUPS:
+                for table, entry in enumerate(entries):
+                    acc[table] |= entry
+            else:
+                for entry in entries:
+                    acc[4] |= entry
+
+        self._round_loop(plaintexts, mark)
+        return (acc >> 32) & 0xFFFF_FFFF
 
 
 def lookup_table_ids() -> np.ndarray:
@@ -300,9 +372,9 @@ def lookup_table_ids() -> np.ndarray:
     Rounds 1..9 cycle Te0..Te3; the final 16 lookups hit Te4.
     """
     ids = np.empty(LOOKUPS_PER_ENCRYPTION, dtype=np.uint8)
-    for k in range(144):
+    for k in range(MAIN_ROUND_LOOKUPS):
         ids[k] = k % 4
-    ids[144:] = 4
+    ids[MAIN_ROUND_LOOKUPS:] = 4
     return ids
 
 

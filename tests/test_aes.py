@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.batch import EngineConfig, lookup_line_ids
 from repro.crypto.aes import (
     AES128,
     LOOKUPS_PER_ENCRYPTION,
@@ -156,6 +157,92 @@ class TestBatch:
         ciphertexts, lookup_bytes = aes.encrypt_batch(plaintexts)
         assert ciphertexts.shape == (1000, 16)
         assert lookup_bytes.shape == (1000, LOOKUPS_PER_ENCRYPTION)
+
+
+    def test_batch_fips_vector(self):
+        plaintexts = np.frombuffer(FIPS_PLAINTEXT, dtype=np.uint8)[None, :]
+        ciphertexts, lookup_bytes = AES128(FIPS_KEY).encrypt_batch(plaintexts)
+        assert bytes(ciphertexts[0]) == FIPS_CIPHERTEXT
+        _, lookups = AES128(FIPS_KEY).encrypt_block_traced(FIPS_PLAINTEXT)
+        assert list(lookup_bytes[0]) == [l.byte_index for l in lookups]
+
+    def test_batch_matches_scalar_on_many_blocks(self):
+        """Spot-check rows of a large batch, first and last included."""
+        aes = AES128(bytes(range(100, 116)))
+        rng = np.random.default_rng(7)
+        plaintexts = rng.integers(0, 256, size=(5000, 16), dtype=np.uint8)
+        ciphertexts, lookup_bytes = aes.encrypt_batch(plaintexts)
+        for i in (0, 1, 2047, 4096, 4999):
+            ct, lookups = aes.encrypt_block_traced(bytes(plaintexts[i]))
+            assert bytes(ciphertexts[i]) == ct
+            assert list(lookup_bytes[i]) == [l.byte_index for l in lookups]
+
+
+def masks_from_lookups(aes, plaintexts):
+    """The oracle: per-table line bitmasks of ``encrypt_batch``'s
+    lookups, through ``lookup_line_ids``."""
+    _, lookup_bytes = aes.encrypt_batch(plaintexts)
+    lines = lookup_line_ids(lookup_bytes)
+    masks = np.zeros((5, len(plaintexts)), dtype=np.int64)
+    for table in range(5):
+        bits = np.where(
+            lines >> 5 == table, np.left_shift(1, lines & 31), 0
+        )
+        masks[table] = np.bitwise_or.reduce(bits, axis=1)
+    return masks
+
+
+class TestLineMasks:
+    @given(key_bytes)
+    @settings(max_examples=10, deadline=None)
+    def test_random_plaintexts(self, key):
+        rng = np.random.default_rng(11)
+        plaintexts = rng.integers(0, 256, size=(300, 16), dtype=np.uint8)
+        aes = AES128(key)
+        masks = aes.line_masks(plaintexts)
+        assert masks.shape == (5, 300) and masks.dtype == np.int64
+        assert np.array_equal(masks, masks_from_lookups(aes, plaintexts))
+
+    def test_fips_block(self):
+        aes = AES128(FIPS_KEY)
+        plaintexts = np.frombuffer(FIPS_PLAINTEXT, dtype=np.uint8)[None, :]
+        masks = aes.line_masks(plaintexts)
+        assert masks.shape == (5, 1)
+        assert np.array_equal(masks, masks_from_lookups(aes, plaintexts))
+        # Cross-check against the scalar trace, line by line.
+        _, lookups = aes.encrypt_block_traced(FIPS_PLAINTEXT)
+        expected = [0] * 5
+        for lookup in lookups:
+            expected[lookup.table] |= 1 << (lookup.byte_index >> 3)
+        assert list(masks[:, 0]) == expected
+
+    def test_single_row_and_all_lines(self):
+        """N=1, plus the extreme bits: line 31 (bit 31) must not leak
+        a sign or spill into another table."""
+        aes = AES128(bytes(16))
+        plaintexts = np.full((1, 16), 0xFF, dtype=np.uint8)
+        masks = aes.line_masks(plaintexts)
+        assert np.array_equal(masks, masks_from_lookups(aes, plaintexts))
+        many = np.random.default_rng(3).integers(
+            0, 256, size=(2000, 16), dtype=np.uint8
+        )
+        union = np.bitwise_or.reduce(aes.line_masks(many), axis=1)
+        assert list(union) == [0xFFFF_FFFF] * 5
+
+    def test_rows_beyond_one_chunk(self):
+        """More rows than an engine chunk, and not a multiple of it."""
+        n = EngineConfig().chunk_size + 1001
+        aes = AES128(bytes(range(32, 48)))
+        plaintexts = np.random.default_rng(5).integers(
+            0, 256, size=(n, 16), dtype=np.uint8
+        )
+        assert np.array_equal(
+            aes.line_masks(plaintexts), masks_from_lookups(aes, plaintexts)
+        )
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            AES128(FIPS_KEY).line_masks(np.zeros((4, 8), dtype=np.uint8))
 
 
 class TestRandomKey:

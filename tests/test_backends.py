@@ -477,16 +477,29 @@ class TestHeartbeatLiveness:
     def test_worker_aborts_unit_when_heartbeat_dies(self, tmp_path,
                                                     monkeypatch):
         # Short lease timeout → the task doc carries a fast (0.05s)
-        # heartbeat interval; the unit is big enough that the beat
-        # thread reliably fires (and dies) while it executes.
+        # heartbeat interval.  The unit waits until the beat thread
+        # has crashed before it computes, so the abort never races
+        # the unit's run time.
         backend = WorkQueueBackend(str(tmp_path), lease_timeout=0.2)
-        backend.submit(WorkUnit(
-            unit_id="u", spec=timing_spec(num_samples=32_768)
-        ))
+        backend.submit(WorkUnit(unit_id="u", spec=timing_spec()))
         claimed = backend.store.claim("w1", "h")["unit"]
         assert claimed["unit_id"] == "u"
-        monkeypatch.setattr(wq, "_touch", self._boom)
+        crashed = threading.Event()
+        waits = []
+
+        def boom(path):
+            crashed.set()
+            self._boom(path)
+
+        def execute_after_crash(unit):
+            waits.append(crashed.wait(timeout=10.0))
+            return real_execute(unit)
+
+        real_execute = wq.execute_unit
+        monkeypatch.setattr(wq, "_touch", boom)
+        monkeypatch.setattr(wq, "execute_unit", execute_after_crash)
         assert wq._execute_claimed(backend.store, claimed, "w1") is None
+        assert waits == [True]
         # Aborted: no result published, and the stale lease hands the
         # unit straight back to the dispatcher's expiry pass.
         assert os.listdir(tmp_path / RESULTS_DIR) == []

@@ -191,6 +191,91 @@ class TestEpochBatching:
         assert scalar_calls == []
 
 
+def legacy_collect(engine, key, num_samples, party="victim",
+                   campaign_seed=0xC0DE):
+    """The pre-fused engine, as the oracle: per RNG block, encrypt with
+    ``encrypt_batch``, map lookups with ``lookup_line_ids``, scatter
+    them into an (n, 160) touched-line matrix, and take every cold
+    state from the scalar ``epoch_state`` replay."""
+    aes = AES128(key)
+    config = engine.config
+    num_sets = engine.cold_model.geometry.num_sets
+    plaintexts, timings = [], []
+    for start, end, events, epoch in engine.epoch_blocks(
+        num_samples, party, campaign_seed
+    ):
+        cold, line_set = engine.cold_model.epoch_state(*epoch)
+        set_to_line = np.full(num_sets, -1, dtype=np.int64)
+        for line in range(NUM_TABLE_LINES - 1, -1, -1):
+            if not cold[line]:
+                set_to_line[line_set[line]] = line
+        for rng_start in range(start, end, config.rng_block):
+            rng_end = min(end, (rng_start // config.rng_block + 1)
+                          * config.rng_block)
+            rng = engine._block_rng(party, campaign_seed, rng_start)
+            block = rng.integers(0, 256, size=(rng_end - rng_start, 16),
+                                 dtype=np.uint8)
+            lines = lookup_line_ids(aes.encrypt_batch(block)[1])
+            n = len(block)
+            accessed = np.zeros((n, NUM_TABLE_LINES), dtype=bool)
+            accessed[np.arange(n)[:, None], lines] = True
+            cold_hits = (accessed & cold[None, :]).sum(axis=1)
+            block_timings = (config.base_cycles
+                             + config.miss_penalty * cold_hits)
+            if events > 0:
+                evicted = set_to_line[rng.integers(0, num_sets,
+                                                   size=(n, events))]
+                valid = evicted >= 0
+                touched = accessed[np.arange(n)[:, None],
+                                   np.where(valid, evicted, 0)] & valid
+                block_timings = block_timings + config.miss_penalty * (
+                    touched.sum(axis=1).astype(float)
+                )
+            plaintexts.append(block)
+            timings.append(block_timings)
+    return np.concatenate(plaintexts), np.concatenate(timings)
+
+
+class TestFusedTimingPass:
+    """The fused encryption + cold-line pass against the per-block
+    pipeline it replaced, on every setup."""
+
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    @pytest.mark.parametrize("party", ("victim", "attacker"))
+    def test_matches_per_block_pipeline(self, setup_name, party):
+        # Small chunks so one collection spans several compute runs,
+        # some crossing cold-state blocks; the budget is not a
+        # multiple of the chunk.
+        config = EngineConfig(chunk_size=4096)
+        engine = AESTimingEngine(make_setup(setup_name), config=config,
+                                 rng=np.random.default_rng(21))
+        key = bytes(range(3, 19))
+        samples = engine.collect(key, 11_000, party=party)
+        plaintexts, timings = legacy_collect(engine, key, 11_000, party)
+        assert np.array_equal(samples.plaintexts, plaintexts)
+        assert np.array_equal(samples.timings, timings)
+
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    def test_shard_splitting_a_chunk_equals_collect_slice(self, setup_name):
+        engine = AESTimingEngine(make_setup(setup_name),
+                                 rng=np.random.default_rng(22))
+        chunk = engine.config.chunk_size
+        key = bytes(range(40, 56))
+        total = 2 * chunk + 3000
+        if setup_name == "rpcache":
+            assert engine.epoch_blocks(total, "victim", 0xC0DE)[0][2] > 0
+        full = engine.collect(key, total)
+        # Starts mid-way through the first compute chunk and ends
+        # mid-way through the second.
+        shard = Shard(index=1, num_shards=3, start=5 * 1024,
+                      end=chunk + 3 * 1024)
+        part = engine.collect_shard(key, total, shard)
+        assert np.array_equal(part.plaintexts,
+                              full.plaintexts[shard.start:shard.end])
+        assert np.array_equal(part.timings,
+                              full.timings[shard.start:shard.end])
+
+
 class TestEngineTimings:
     def test_timing_formula_matches_cold_model(self):
         """Engine timing == base + penalty * |unique cold lines touched|,
