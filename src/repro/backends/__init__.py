@@ -22,7 +22,11 @@ across all of them.
     filesystem.
 
   Both transports follow one set of failure rules: the dispatcher,
-  the worker loop and the lease heartbeat are written once.
+  the worker loop and the lease heartbeat are written once.  Local
+  workers — a fixed ``spawn_workers`` pool or an
+  :class:`ElasticSupervisor` scaling with queue pressure — start
+  through one spawn function with the store's ``repro worker``
+  arguments.
 
 Quickstart::
 
@@ -46,7 +50,6 @@ from repro.backends.base import (
 from repro.backends.coordinator import (
     CoordinatorClient,
     CoordinatorServer,
-    CoordinatorWorkerLauncher,
     HttpQueueBackend,
     HttpQueueStore,
     worker_loop_http,
@@ -58,8 +61,6 @@ from repro.backends.workqueue import (
     ElasticSupervisor,
     QueueBackend,
     QueueStore,
-    QueueWorkerLauncher,
-    WorkerLauncher,
     WorkQueueBackend,
     worker_loop,
 )
@@ -67,7 +68,6 @@ from repro.backends.workqueue import (
 __all__ = [
     "CoordinatorClient",
     "CoordinatorServer",
-    "CoordinatorWorkerLauncher",
     "DirectoryQueueStore",
     "ElasticStats",
     "ElasticSupervisor",
@@ -77,9 +77,7 @@ __all__ = [
     "ProcessPoolBackend",
     "QueueBackend",
     "QueueStore",
-    "QueueWorkerLauncher",
     "SerialBackend",
-    "WorkerLauncher",
     "WorkQueueBackend",
     "WorkResult",
     "WorkUnit",

@@ -46,7 +46,6 @@ import pickle
 import random
 import shutil
 import socket
-import subprocess
 import tempfile
 import threading
 import time
@@ -56,12 +55,9 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.backends import workqueue
 from repro.backends.workqueue import (
     DirectoryQueueStore,
     QueueBackend,
-    WorkerLauncher,
-    _host_label,
     _serve_store,
 )
 
@@ -105,19 +101,16 @@ class CoordinatorState(DirectoryQueueStore):
     def metrics(self) -> Dict[str, Any]:
         """The ``GET /metrics`` fleet snapshot.
 
-        The :func:`~repro.telemetry.status.queue_dir_status` document
-        (per-lease ages, per-worker states, host counts) computed
-        coordinator-side, plus the serving process's uptime and
-        result-post counter so ``repro status --coordinator`` can
-        print a throughput line without any filesystem access.
+        The :meth:`stats` snapshot (per-lease ages, per-worker states,
+        host counts) plus the serving process's uptime and result-post
+        counter, so ``repro status --coordinator`` can print a
+        throughput line without any filesystem access.
         """
-        from repro.telemetry.status import queue_dir_status
-
-        doc = queue_dir_status(
-            self.queue_dir, heartbeat_fresh=self.worker_fresh
-        )
-        doc["uptime"] = round(time.time() - self.started, 3)
-        doc["results_posted"] = self.results_posted
+        doc = {
+            **self.stats(),
+            "uptime": round(time.time() - self.started, 3),
+            "results_posted": self.results_posted,
+        }
         if self.scheduler is not None:
             # Per-tenant queue depth / in-flight / dedup hits — the
             # scheduler takes its own lock, never ``self.lock``.
@@ -590,7 +583,7 @@ class HttpQueueStore:
 
     def __init__(self, client: CoordinatorClient) -> None:
         self.client = client
-        self.worker_args = f"--coordinator {client.base_url}"
+        self.worker_args = ("--coordinator", client.base_url)
 
     def _call_json(
         self, method: str, path: str, **kwargs: Any
@@ -714,32 +707,6 @@ def worker_loop_http(
     )
 
 
-class CoordinatorWorkerLauncher(WorkerLauncher):
-    """Launches local workers that join a coordinator over HTTP.
-
-    Plugged into an :class:`ElasticSupervisor` running next to the
-    coordinator (``repro coordinator --max-workers N``): the
-    supervisor observes the queue directory it shares with the
-    coordinator and scales a colocated pool, while remote hosts join
-    the same campaign with their own ``repro worker --coordinator``
-    processes.
-    """
-
-    def __init__(self, url: str, log_dir: str) -> None:
-        self.url = url
-        self.log_dir = log_dir
-        self.host = _host_label()
-
-    def launch(
-        self, worker_id: str, poll_interval: float
-    ) -> Tuple[subprocess.Popen, str]:
-        # Looked up on the module at call time: the one spawn
-        # function is also the fault-injection seam.
-        return workqueue._spawn_worker_process(
-            self.url, worker_id, poll_interval, self.log_dir
-        )
-
-
 # -- dispatcher side ---------------------------------------------------------
 
 
@@ -785,10 +752,7 @@ class HttpQueueBackend(QueueBackend):
         self._log_dir: Optional[str] = None
         if spawn_workers:
             self._log_dir = tempfile.mkdtemp(prefix="repro-http-workers-")
-            self._spawn_pool(
-                CoordinatorWorkerLauncher(self.url, self._log_dir),
-                spawn_workers,
-            )
+            self._spawn_pool(spawn_workers, self._log_dir)
 
     def close(self) -> None:
         super().close()

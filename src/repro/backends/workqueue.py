@@ -46,8 +46,10 @@ worker writes an error result and the dispatcher raises it, because a
 deterministic unit that failed once will fail again.
 
 Workers are started with ``repro worker --queue DIR`` (see
-:func:`worker_loop`) or spawned by the dispatcher itself
-(``spawn_workers=N``).
+:func:`worker_loop`), spawned by the dispatcher itself
+(``spawn_workers=N``) or scaled with queue pressure by an
+:class:`ElasticSupervisor`.  Every local spawn goes through
+:func:`_spawn_worker_process` with the store's :attr:`worker_args`.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from repro.backends.base import (
 )
 from repro.common.fsio import atomic_write_bytes
 from repro.telemetry.events import make_event
+from repro.telemetry.status import queue_dir_status
 
 TASKS_DIR = "tasks"
 LEASES_DIR = "leases"
@@ -181,8 +184,9 @@ class QueueStore(Protocol):
     rule written against these primitives holds for both stores.
     """
 
-    #: The ``repro worker`` arguments that serve this queue.
-    worker_args: str
+    #: The ``repro worker`` arguments that serve this queue:
+    #: ``("--queue", dir)`` or ``("--coordinator", url)``.
+    worker_args: Tuple[str, str]
 
     # dispatcher side
     def submit(self, doc: Dict[str, Any]) -> None: ...
@@ -305,21 +309,6 @@ def _release_lease(lease_path: str, worker_id: str) -> None:
         pass
 
 
-def _mark_lease_dead(lease_path: str) -> None:
-    """Record a dead heartbeat thread in the lease doc and go stale."""
-    try:
-        with open(lease_path) as handle:
-            doc = json.load(handle)
-        doc["heartbeat_alive"] = False
-        atomic_write_bytes(lease_path, json.dumps(doc).encode())
-        # Force the mtime stale so the dispatcher's age check
-        # expires the lease on its next poll (the doc rewrite
-        # above would otherwise have *refreshed* it).
-        os.utime(lease_path, (0.0, 0.0))
-    except (OSError, ValueError):
-        pass  # best effort — the stale mtime will expire eventually
-
-
 class DirectoryQueueStore:
     """The queue as one directory: every on-disk queue operation.
 
@@ -338,7 +327,7 @@ class DirectoryQueueStore:
 
     def __init__(self, queue_dir: str) -> None:
         self.queue_dir = queue_dir
-        self.worker_args = f"--queue {queue_dir}"
+        self.worker_args = ("--queue", queue_dir)
         ensure_queue_dirs(queue_dir)
 
     # -- worker side ---------------------------------------------------------
@@ -404,7 +393,19 @@ class DirectoryQueueStore:
         return True
 
     def mark_dead(self, unit_id: str) -> None:
-        _mark_lease_dead(_lease_path(self.queue_dir, unit_id))
+        """Record a dead heartbeat thread in the lease doc and go stale."""
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        try:
+            with open(lease_path) as handle:
+                doc = json.load(handle)
+            doc["heartbeat_alive"] = False
+            atomic_write_bytes(lease_path, json.dumps(doc).encode())
+            # Force the mtime stale so the dispatcher's age check
+            # expires the lease on its next poll (the doc rewrite
+            # above would otherwise have *refreshed* it).
+            os.utime(lease_path, (0.0, 0.0))
+        except (OSError, ValueError):
+            pass  # best effort — the stale mtime will expire eventually
 
     def post_result(
         self, unit_id: str, worker_id: str, attempt: int, body: bytes
@@ -568,16 +569,10 @@ class DirectoryQueueStore:
                 pass
 
     def stats(self) -> Dict[str, Any]:
-        """Queue depths and live workers per host: the ``repro status``
-        snapshot's counts, in the ``GET /stats`` shape."""
-        from repro.telemetry.status import queue_dir_status
-
-        doc = queue_dir_status(
+        """The ``repro status`` fleet snapshot (``GET /stats``)."""
+        return queue_dir_status(
             self.queue_dir, heartbeat_fresh=self.worker_fresh
         )
-        doc["leases"] = len(doc["leases"])
-        del doc["workers"]
-        return doc
 
 
 # -- the worker --------------------------------------------------------------
@@ -587,11 +582,10 @@ class _Heartbeat:
     """Keeps one claimed unit's lease fresh on a background thread, so
     the dispatcher can tell a slow worker from a dead one.
 
-    ``lease`` is the unit id under ``store``; without a store it is a
-    bare lease-file path whose mtime is the beat.  A beat that reports
-    the lease gone or owned by someone else (expired and re-claimed,
-    or cancelled) sets :attr:`lost` and stops: the worker must skip
-    its publish — a successor owns the unit now, and the stale
+    Each beat is ``store.heartbeat(unit_id, worker_id)``.  A beat
+    that reports the lease gone or owned by someone else (expired and
+    re-claimed, or cancelled) sets :attr:`lost` and stops: the worker
+    must skip its publish — a successor owns the unit now, and the stale
     attempt's post would be refused anyway.  Filesystem/connection
     errors (``OSError``) are ridden out: exiting there would make a
     healthy worker look dead and burn an attempt for nothing.
@@ -607,12 +601,12 @@ class _Heartbeat:
 
     def __init__(
         self,
-        lease: str,
+        unit_id: str,
         interval: float,
-        store: Optional[QueueStore] = None,
-        worker_id: Optional[str] = None,
+        store: QueueStore,
+        worker_id: str,
     ) -> None:
-        self._lease = lease
+        self._unit_id = unit_id
         self._store = store
         self._worker_id = worker_id
         self._interval = max(0.05, interval)
@@ -624,20 +618,13 @@ class _Heartbeat:
         self.failed = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def _beat(self) -> bool:
-        if self._store is not None:
-            return self._store.heartbeat(self._lease, self._worker_id)
-        try:
-            _touch(self._lease)
-        except FileNotFoundError:
-            return False
-        return True
-
     def _run(self) -> None:
         try:
             while not self._stop.wait(self._interval):
                 try:
-                    alive = self._beat()
+                    alive = self._store.heartbeat(
+                        self._unit_id, self._worker_id
+                    )
                 except OSError:
                     continue  # transient hiccup (NFS, EIO, network)
                 if not alive:
@@ -645,10 +632,7 @@ class _Heartbeat:
                     return
         except BaseException:
             self.failed.set()
-            if self._store is not None:
-                self._store.mark_dead(self._lease)
-            else:
-                _mark_lease_dead(self._lease)
+            self._store.mark_dead(self._unit_id)
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
@@ -728,7 +712,8 @@ def _serve_store(
     worker_id = worker_id or f"{_host_label()}-{os.getpid()}"
     host = _host_label()
     if echo:
-        print(f"[worker {worker_id}] serving {store.worker_args}",
+        print(f"[worker {worker_id}] serving "
+              f"{' '.join(store.worker_args)}",
               file=sys.stderr, flush=True)
     executed = 0
     idle_since = time.monotonic()
@@ -842,20 +827,17 @@ def _cleanup_worker_files(queue_dir: str, worker_id: str) -> None:
 
 
 def _spawn_worker_process(
-    target: str,
+    worker_args: Tuple[str, ...],
     worker_id: str,
     poll_interval: float,
-    log_dir: Optional[str] = None,
+    log_dir: str,
 ) -> "tuple[subprocess.Popen, str]":
-    """Start one local ``repro worker`` subprocess serving ``target`` —
-    a queue directory, or a coordinator URL.
+    """Start one local ``repro worker <worker_args>`` subprocess — the
+    one spawn path of the fixed and the elastic pools alike.
 
     Returns ``(process, log path)``; the worker's stdout/stderr land in
-    ``<log_dir>/<id>.log`` (default: the queue's ``workers/``) for
-    post-mortem diagnostics.
+    ``<log_dir>/<id>.log`` for post-mortem diagnostics.
     """
-    flag = "--coordinator" if "://" in target else "--queue"
-    log_dir = log_dir or os.path.join(target, WORKERS_DIR)
     os.makedirs(log_dir, exist_ok=True)
     log_path = os.path.join(log_dir, worker_id + ".log")
     env = dict(os.environ)
@@ -868,7 +850,7 @@ def _spawn_worker_process(
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "worker",
-                flag, target,
+                *worker_args,
                 "--worker-id", worker_id,
                 "--poll", str(poll_interval),
             ],
@@ -879,48 +861,6 @@ def _spawn_worker_process(
     finally:
         log.close()  # the child holds its own handle
     return proc, log_path
-
-
-class WorkerLauncher:
-    """Where and how an :class:`ElasticSupervisor` starts one worker.
-
-    The supervisor's scaling loop is transport-agnostic: it decides
-    *when* the pool grows or drains from queue pressure, and delegates
-    *how* a worker process comes to exist to a launcher.  A launcher
-    is host-aware (:attr:`host` labels where its workers run) so fleet
-    stats can aggregate per host; today's launchers start local
-    subprocesses — one serving a queue directory, one joining a
-    coordinator over HTTP — and the same seam is where SSH/container
-    launchers plug in without touching the scaling logic.
-    """
-
-    #: Host label the launched workers run on (fleet-stats key).
-    host: str = "localhost"
-
-    def launch(
-        self, worker_id: str, poll_interval: float
-    ) -> "tuple[subprocess.Popen, str]":
-        """Start one worker; ``(process handle, log path)``."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return f"{type(self).__name__} on {self.host}"
-
-
-class QueueWorkerLauncher(WorkerLauncher):
-    """Launches local ``repro worker --queue DIR`` subprocesses — the
-    original (and default) launcher for filesystem-served queues."""
-
-    def __init__(self, queue_dir: str) -> None:
-        self.queue_dir = queue_dir
-        self.host = _host_label()
-
-    def launch(
-        self, worker_id: str, poll_interval: float
-    ) -> "tuple[subprocess.Popen, str]":
-        return _spawn_worker_process(
-            self.queue_dir, worker_id, poll_interval
-        )
 
 
 @dataclass
@@ -957,6 +897,12 @@ class ElasticSupervisor:
       holds a lease on and exits, so retirement never abandons a
       lease mid-unit.
 
+    Each observation is one :func:`queue_dir_status` snapshot.  The
+    pool's workers run ``repro worker <worker_args>`` — by default
+    ``--queue <queue_dir>``; ``repro coordinator`` passes
+    ``--coordinator URL`` so they join through the HTTP front door —
+    with their logs in ``<queue_dir>/workers``.
+
     Run it on a background thread (:meth:`start`/:meth:`shutdown`,
     what :class:`WorkQueueBackend` does) or drive :meth:`tick`
     directly for deterministic tests.  Scaling only changes *when*
@@ -975,7 +921,7 @@ class ElasticSupervisor:
         worker_poll: float = 0.2,
         heartbeat_fresh: float = 2.0,
         clock=time.monotonic,
-        launcher: Optional[WorkerLauncher] = None,
+        worker_args: Optional[Tuple[str, ...]] = None,
         telemetry=None,
     ) -> None:
         if max_workers < 1:
@@ -986,13 +932,12 @@ class ElasticSupervisor:
                 f"(got {min_workers}..{max_workers})"
             )
         self.queue_dir = queue_dir
-        #: How new workers are started (and on which host) — the
-        #: fleet seam; defaults to local ``repro worker --queue``
-        #: subprocesses.
-        self.launcher = (
-            launcher if launcher is not None
-            else QueueWorkerLauncher(queue_dir)
+        self.worker_args = (
+            worker_args if worker_args is not None
+            else ("--queue", queue_dir)
         )
+        #: Where this supervisor's workers run (fleet-stats key).
+        self.host = _host_label()
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.poll_interval = poll_interval
@@ -1036,95 +981,40 @@ class ElasticSupervisor:
 
     # -- observation ---------------------------------------------------------
 
-    def _count_dir(self, name: str) -> int:
-        try:
-            return sum(
-                1
-                for entry in os.listdir(os.path.join(self.queue_dir, name))
-                if entry.endswith(".json")
-            )
-        except FileNotFoundError:
-            return 0
+    def _observe(self) -> Tuple[int, int, Dict[str, str]]:
+        """``(pending, busy, fresh externals)`` from one snapshot.
 
-    def queue_depth(self) -> int:
-        """Pending (unclaimed) units waiting for a worker."""
-        return self._count_dir(TASKS_DIR)
-
-    def lease_count(self) -> int:
-        """Units currently executing somewhere."""
-        return self._count_dir(LEASES_DIR)
-
-    def _external_lease_count(self) -> int:
-        """Leases stamped with an external worker's id.
-
-        Those units are already being served by capacity we do not
-        manage — counting them as demand would spawn a redundant local
-        worker per busy external one.  A lease not yet stamped (the
-        claim-to-stamp window) stays conservative: it counts as
-        demand.
+        ``busy`` counts leases not stamped by an external worker: a
+        unit an external worker holds is already served by capacity we
+        do not manage, while an unstamped lease (the claim-to-stamp
+        window, or a torn read) stays conservative and counts as
+        demand.  Fresh externals are ``{worker id: host}`` of workers
+        we do not own whose info file is at most ``heartbeat_fresh``
+        old — busy or idle (a busy external with a stale info file
+        shows through its stamped lease instead).  Caller holds
+        ``_lock``.
         """
+        doc = queue_dir_status(
+            self.queue_dir, heartbeat_fresh=self.heartbeat_fresh
+        )
         own = set(self._procs) | set(self._retiring)
-        leases_dir = os.path.join(self.queue_dir, LEASES_DIR)
-        try:
-            names = os.listdir(leases_dir)
-        except FileNotFoundError:
-            return 0
-        external = 0
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(leases_dir, name)) as handle:
-                    owner = json.load(handle).get("worker")
-            except (OSError, ValueError):
-                continue  # torn read/claim race: treat as demand
-            if owner and owner not in own:
-                external += 1
-        return external
-
-    def _fresh_externals(self) -> Dict[str, str]:
-        """``{worker id: host}`` of externally-started workers with a
-        fresh idle heartbeat (busy externals advertise liveness
-        through their stamped lease instead)."""
-        own = set(self._procs) | set(self._retiring)
-        workers_dir = os.path.join(self.queue_dir, WORKERS_DIR)
-        try:
-            names = os.listdir(workers_dir)
-        except FileNotFoundError:
-            return {}
-        fresh: Dict[str, str] = {}
-        now = time.time()
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            worker_id = name[: -len(".json")]
-            if worker_id in own:
-                continue
-            path = os.path.join(workers_dir, name)
-            try:
-                age = now - os.stat(path).st_mtime
-            except FileNotFoundError:
-                continue
-            if age > self.heartbeat_fresh:
-                continue
-            try:
-                with open(path) as handle:
-                    host = json.load(handle).get("host") or "external"
-            except (OSError, ValueError):
-                host = "external"
-            fresh[worker_id] = host
-        return fresh
-
-    def _fresh_external_workers(self) -> int:
-        """Externally-started workers with a fresh idle heartbeat."""
-        return len(self._fresh_externals())
+        busy = sum(
+            1 for row in doc["leases"]
+            if not row["worker"] or row["worker"] in own
+        )
+        externals = {
+            row["worker"]: row["host"] for row in doc["workers"]
+            if row["worker"] not in own
+            and row["age"] <= self.heartbeat_fresh
+        }
+        return doc["tasks"], busy, externals
 
     def workers_by_host(self) -> Dict[str, int]:
         """Live workers aggregated per host: the supervisor's own pool
-        (every worker on :attr:`launcher` ``.host``) plus
-        heartbeat-fresh externals under the host their info doc
-        advertises.  The fleet operator's gauge — on a shared queue it
-        shows each joined machine's contribution, not one number."""
+        (every worker on :attr:`host`) plus heartbeat-fresh externals
+        under the host their info doc advertises.  The fleet
+        operator's gauge — on a shared queue it shows each joined
+        machine's contribution, not one number."""
         with self._lock:
             self._reap()
             counts: Dict[str, int] = {}
@@ -1133,8 +1023,9 @@ class ElasticSupervisor:
                 if proc.poll() is None
             )
             if own:
-                counts[self.launcher.host] = own
-            for host in self._fresh_externals().values():
+                counts[self.host] = own
+            _, _, externals = self._observe()
+            for host in externals.values():
                 counts[host] = counts.get(host, 0) + 1
             return counts
 
@@ -1143,12 +1034,11 @@ class ElasticSupervisor:
     def _spawn_one(self) -> None:
         # Host-qualified: supervisors on two hosts sharing one queue
         # (same pid by coincidence) must never mint the same id.
-        worker_id = (
-            f"elastic-{self.launcher.host}-{os.getpid()}-{self._seq}"
-        )
+        worker_id = f"elastic-{self.host}-{os.getpid()}-{self._seq}"
         self._seq += 1
-        proc, log_path = self.launcher.launch(
-            worker_id, self.worker_poll
+        proc, log_path = _spawn_worker_process(
+            self.worker_args, worker_id, self.worker_poll,
+            os.path.join(self.queue_dir, WORKERS_DIR),
         )
         self._procs[worker_id] = proc
         self._log_paths[worker_id] = log_path
@@ -1159,7 +1049,7 @@ class ElasticSupervisor:
         if self.telemetry is not None:
             self.telemetry.emit(make_event(
                 "worker_spawn",
-                worker=worker_id, host=self.launcher.host,
+                worker=worker_id, host=self.host,
             ))
 
     def _retire_one(self) -> None:
@@ -1174,7 +1064,7 @@ class ElasticSupervisor:
         if self.telemetry is not None:
             self.telemetry.emit(make_event(
                 "worker_retire",
-                worker=worker_id, host=self.launcher.host,
+                worker=worker_id, host=self.host,
             ))
 
     def _reap(self) -> None:
@@ -1199,7 +1089,7 @@ class ElasticSupervisor:
                 if self.telemetry is not None:
                     self.telemetry.emit(make_event(
                         "worker_crash",
-                        worker=worker_id, host=self.launcher.host,
+                        worker=worker_id, host=self.host,
                         returncode=proc.returncode,
                     ))
             # A fresh leftover heartbeat must not read as an external
@@ -1212,14 +1102,11 @@ class ElasticSupervisor:
         """One observe-and-scale step (idempotent, any call rate)."""
         with self._lock:
             self._reap()
-            pending = self.queue_depth()
-            busy = self.lease_count() - self._external_lease_count()
-            demand = pending + max(0, busy)
+            pending, busy, externals = self._observe()
             own = len(self._procs)
             target = min(
                 self.max_workers,
-                max(self.min_workers,
-                    demand - self._fresh_external_workers()),
+                max(self.min_workers, pending + busy - len(externals)),
             )
             if own < target and (pending > 0 or own < self.min_workers):
                 self._emit_scale("spawn", pending, busy, own, target)
@@ -1287,8 +1174,7 @@ class ElasticSupervisor:
             alive_retiring = any(
                 proc.poll() is None for proc in self._retiring.values()
             )
-            if self._procs or alive_retiring \
-                    or self._fresh_external_workers():
+            if self._procs or alive_retiring or self._observe()[2]:
                 # Someone is still serving: neither a broken scale-up
                 # nor past crashes justify failing in-flight work.
                 return
@@ -1428,7 +1314,8 @@ class QueueBackend(ExecutionBackend):
         self._cancelled_ids: Set[str] = set()
         self._procs: List[subprocess.Popen] = []
         self._log_paths: List[str] = []
-        self._launcher: Optional[WorkerLauncher] = None
+        #: Where the spawned pool runs (fleet-stats key).
+        self._host = _host_label()
         self.supervisor: Optional[ElasticSupervisor] = None
         # A stale sentinel from a previous campaign would make fresh
         # workers exit immediately.
@@ -1440,18 +1327,21 @@ class QueueBackend(ExecutionBackend):
 
     # -- worker management ---------------------------------------------------
 
-    def _spawn_pool(self, launcher: WorkerLauncher, count: int) -> None:
-        """Start a fixed pool of ``count`` local workers."""
-        self._launcher = launcher
+    def _spawn_pool(self, count: int, log_dir: str) -> None:
+        """Start a fixed pool of ``count`` local workers serving
+        :attr:`store`, logging into ``log_dir``."""
         for index in range(count):
             # Host-qualified for the same reason as the elastic ids:
             # two dispatch hosts sharing one queue must not collide on
             # a coincidental pid match.
-            worker_id = f"spawned-{launcher.host}-{os.getpid()}-{index}"
-            proc, log_path = launcher.launch(worker_id, self.poll_interval)
+            worker_id = f"spawned-{self._host}-{os.getpid()}-{index}"
+            proc, log_path = _spawn_worker_process(
+                self.store.worker_args, worker_id, self.poll_interval,
+                log_dir,
+            )
             self._procs.append(proc)
             self._log_paths.append(log_path)
-            self._emit("worker_spawn", worker=worker_id, host=launcher.host)
+            self._emit("worker_spawn", worker=worker_id, host=self._host)
 
     def live_worker_count(self) -> Optional[int]:
         """Workers serving the queue, or None when unknowable (see
@@ -1469,7 +1359,7 @@ class QueueBackend(ExecutionBackend):
             alive = sum(
                 1 for proc in self._procs if proc.poll() is None
             )
-            return {self._launcher.host: alive} if alive else {}
+            return {self._host: alive} if alive else {}
         try:
             by_host = self.store.stats().get("workers_by_host")
         except Exception:
@@ -1553,7 +1443,7 @@ class QueueBackend(ExecutionBackend):
                         f"with {len(self._outstanding)} unit(s) "
                         "outstanding — are any workers running? "
                         "(start one with: repro worker "
-                        f"{self.store.worker_args})"
+                        f"{' '.join(self.store.worker_args)})"
                     )
                 time.sleep(self.poll_interval)
 
@@ -1836,4 +1726,6 @@ class WorkQueueBackend(QueueBackend):
                 worker_poll=poll_interval,
                 telemetry=telemetry,
             ).start()
-        self._spawn_pool(QueueWorkerLauncher(queue_dir), spawn_workers)
+        self._spawn_pool(
+            spawn_workers, os.path.join(queue_dir, WORKERS_DIR)
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from repro.common.prng import CounterStream, XorShift128, counter_key
+from repro.common.prng import XorShift128
 
 
 class ReplacementPolicy(ABC):
@@ -149,17 +149,12 @@ RANDOM_REPLACEMENT_SEED = 0xC0FFEE
 class RandomReplacement(ReplacementPolicy):
     """PRNG-driven random victim selection (MBPTA random replacement).
 
-    Two draw sources, both one-draw-per-conflict-miss in access order:
+    One draw per conflict miss, in access order, from an
+    :class:`XorShift128` stream seeded at
+    :data:`RANDOM_REPLACEMENT_SEED` unless a ``prng`` is supplied or
+    :meth:`reseed` is called.
 
-    * sequential (default): an :class:`XorShift128` stream, seeded at
-      :data:`RANDOM_REPLACEMENT_SEED` unless a ``prng`` is supplied or
-      :meth:`reseed` is called;
-    * counter-based: pass ``draws=CounterStream(key)`` and the k-th
-      victim is a pure function of ``(key, k)`` — the mode the vector
-      kernels can replay in lock-step across trials without serial
-      stepping.
-
-    Which source is in use (and where its stream currently is) is
+    Which stream is in use (and where it currently is) is
     exposed through :meth:`stream_descriptor` / ``draws_consumed`` so
     the kernel envelope probe can tell whether a vector twin can
     reproduce the remaining draw sequence bit-for-bit.  The descriptor
@@ -169,16 +164,9 @@ class RandomReplacement(ReplacementPolicy):
     name = "random"
 
     def __init__(self, num_sets: int, num_ways: int,
-                 prng: Optional[XorShift128] = None,
-                 draws: Optional[CounterStream] = None) -> None:
+                 prng: Optional[XorShift128] = None) -> None:
         super().__init__(num_sets, num_ways)
-        if prng is not None and draws is not None:
-            raise ValueError("pass either prng= or draws=, not both")
-        self._draws = draws
-        if draws is not None:
-            self._prng = None
-            self._stream = ("counter", draws.key)
-        elif prng is not None:
+        if prng is not None:
             self._prng = prng
             self._stream = None  # externally-owned stream: position unknown
         else:
@@ -191,7 +179,7 @@ class RandomReplacement(ReplacementPolicy):
         pass  # stateless apart from the draw stream
 
     def stream_descriptor(self) -> Optional[tuple]:
-        """``("xorshift", seed)`` / ``("counter", key)`` — or ``None``.
+        """``("xorshift", seed)`` — or ``None``.
 
         ``None`` means the draw source is an externally-owned PRNG whose
         position cannot be reconstructed, so no vector twin exists.
@@ -199,17 +187,13 @@ class RandomReplacement(ReplacementPolicy):
         return self._stream
 
     def reseed(self, seed: int) -> None:
-        if self._draws is not None:
-            self._draws = CounterStream(counter_key(seed))
-            self._stream = ("counter", self._draws.key)
+        self._prng.reseed(seed)
+        # After a reseed the stream is reconstructible from the seed
+        # alone — but only for the generator the vector twin speaks.
+        if isinstance(self._prng, XorShift128):
+            self._stream = ("xorshift", seed)
         else:
-            self._prng.reseed(seed)
-            # After a reseed the stream is reconstructible from the seed
-            # alone — but only for the generator the vector twin speaks.
-            if isinstance(self._prng, XorShift128):
-                self._stream = ("xorshift", seed)
-            else:
-                self._stream = None
+            self._stream = None
         self.draws_consumed = 0
 
     def on_hit(self, set_index: int, way: int) -> None:
@@ -219,10 +203,7 @@ class RandomReplacement(ReplacementPolicy):
         pass
 
     def victim_way(self, set_index: int) -> int:
-        if self._draws is not None:
-            way = self._draws.draw(self.draws_consumed, self.num_ways)
-        else:
-            way = self._prng.next_below(self.num_ways)
+        way = self._prng.next_below(self.num_ways)
         self.draws_consumed += 1
         return way
 

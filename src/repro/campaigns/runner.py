@@ -75,12 +75,10 @@ from typing import (
 )
 
 from repro.campaigns.cache import CacheGCStats, ResultCache  # noqa: F401
-from repro.campaigns.engine import CampaignExecution, CellState
+from repro.campaigns.engine import CampaignExecution
 from repro.campaigns.plan import (  # noqa: F401
     CellPlan,
     plan_cells,
-    plan_hook_accepts_policy,
-    resolved_kernel,
     shard_plan_for,
 )
 from repro.campaigns.registry import get_experiment
@@ -96,13 +94,6 @@ from repro.core.batch import ShardPlan, ShardPolicy
 
 if TYPE_CHECKING:  # runtime import is deferred: backends import us
     from repro.backends.base import ExecutionBackend
-
-#: Backward-compatible aliases for the pre-split private names (the
-#: split moved these helpers into :mod:`repro.campaigns.plan` /
-#: :mod:`repro.campaigns.engine` under public names).
-_plan_hook_accepts_policy = plan_hook_accepts_policy
-_resolved_kernel = resolved_kernel
-_PendingCell = CellState
 
 
 def execute_cell(spec: ExperimentSpec) -> Any:

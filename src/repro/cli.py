@@ -670,12 +670,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         # A colocated elastic pool: the supervisor watches the queue
         # directory it shares with the coordinator, and its workers
         # join through the HTTP front door like any remote host's.
-        import os as _os
-
-        from repro.backends import (
-            CoordinatorWorkerLauncher,
-            ElasticSupervisor,
-        )
+        from repro.backends import ElasticSupervisor
 
         supervisor = ElasticSupervisor(
             args.queue_dir,
@@ -683,10 +678,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
                 1 if args.min_workers is None else args.min_workers
             ),
             max_workers=args.max_workers,
-            launcher=CoordinatorWorkerLauncher(
-                server.url,
-                log_dir=_os.path.join(args.queue_dir, "workers"),
-            ),
+            worker_args=("--coordinator", server.url),
             telemetry=telemetry,
         ).start()
     if not args.quiet:

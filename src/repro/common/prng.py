@@ -62,46 +62,6 @@ class SplitMix64:
                 return value
 
 
-def counter_key(seed: int, lane: int = 0) -> int:
-    """Derive a 64-bit :class:`CounterStream` key from ``(seed, lane)``.
-
-    One SplitMix64 mix per input keeps distinct lanes (trials) on
-    statistically independent streams even for adjacent seeds/lanes.
-    """
-    _, a = splitmix64_step(seed & _MASK64)
-    _, b = splitmix64_step((lane ^ 0x5851_F42D_4C95_7F2D) & _MASK64)
-    return (a ^ b) & _MASK64
-
-
-class CounterStream:
-    """Counter-based (splitmix64-style) random draw stream.
-
-    Unlike the sequential generators above, the ``k``-th draw is a pure
-    function of ``(key, k)``: the SplitMix64 output at state
-    ``key + k * gamma``.  Any draw can therefore be computed in O(1)
-    without stepping through its predecessors — which is exactly what
-    lets a vector kernel consume the same stream in lock-step across a
-    batch of trials while a scalar cache consumes it one miss at a time.
-
-    ``draw(k, bound)`` reduces the 64-bit output modulo ``bound``; with
-    the bounds used by the caches (powers of two well below 2^32) the
-    modulo bias is negligible and, more importantly, trivially matched
-    by the vectorized twin in :mod:`repro.kernels.replacement`.
-    """
-
-    def __init__(self, key: int) -> None:
-        self.key = key & _MASK64
-
-    def draw(self, index: int, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        if index < 0:
-            raise ValueError(f"index must be non-negative, got {index}")
-        state = (self.key + index * 0x9E3779B97F4A7C15) & _MASK64
-        _, out = splitmix64_step(state)
-        return out % bound
-
-
 class XorShift128:
     """Marsaglia's xorshift128 — four 32-bit words of state."""
 

@@ -11,8 +11,8 @@ of a block as arrays of cache state:
   permutation tables), bit-identical to ``map_set``.
 * :mod:`repro.kernels.replacement` — vectorized replacement engines
   (LRU, FIFO, NRU, tree-PLRU, random with draw-sequencing parity via a
-  shared fixed-stream table, per-lane XorShift128 streams or a
-  counter-based stream) over ``(elements, sets, ways)`` state.
+  shared fixed-stream table or per-lane XorShift128 streams) over
+  ``(elements, sets, ways)`` state.
 * :mod:`repro.kernels.cache` — :class:`VectorCacheBatch`, ``T``
   independent set-associative caches as ``(T, sets, ways)`` matrices
   with batched probe and pluggable victim selection, plus

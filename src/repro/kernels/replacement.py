@@ -25,9 +25,6 @@ step, hits and fills are disjoint):
   would have made.  When each scalar cache owns a differently seeded
   ``XorShift128`` (one per Bernstein epoch), the table is built per
   lane instead, from :class:`XorShift128Lanes`.
-* :class:`VectorCounterRandom` — the counter-based mode
-  (``RandomReplacement(draws=CounterStream(key))``): draw ``k`` is a
-  pure function of ``(key, k)``, so no table is needed at all.
 
 :func:`replacement_support` is the envelope probe: ``None`` when a
 bit-identical vector twin exists, else a machine-readable reason
@@ -52,7 +49,7 @@ from repro.cache.replacement import (
 )
 from repro.common.bitops import mask
 from repro.common.prng import XorShift128
-from repro.kernels.placement import U64, _SPLITMIX_GAMMA, splitmix64_step_vec
+from repro.kernels.placement import U64, splitmix64_step_vec
 
 _U32 = np.uint32
 _M64 = mask(64)
@@ -342,42 +339,6 @@ class VectorRandom(VectorReplacement):
         return self._table.take(idx, rows)
 
 
-class VectorCounterRandom(VectorReplacement):
-    """Counter-based random replacement: draw ``k`` = f(key, k).
-
-    The vector twin of ``RandomReplacement(draws=CounterStream(key))``;
-    each element may carry its own key (per-trial streams) via
-    :meth:`set_key`.
-    """
-
-    def __init__(
-        self,
-        num_elements: int,
-        num_sets: int,
-        num_ways: int,
-        key: int,
-    ) -> None:
-        super().__init__(num_elements, num_sets, num_ways)
-        self._keys = np.full(num_elements, U64(key), dtype=np.uint64)
-        self._counters = np.zeros(num_elements, dtype=np.uint64)
-
-    def set_key(self, element: int, key: int) -> None:
-        self._keys[element] = U64(key)
-
-    def touch_hits(self, rows, sets, ways) -> None:
-        pass
-
-    def touch_fills(self, rows, sets, ways) -> None:
-        pass
-
-    def victim_ways(self, rows, sets) -> np.ndarray:
-        idx = self._counters[rows]
-        self._counters[rows] = idx + U64(1)
-        state = self._keys[rows] + idx * _SPLITMIX_GAMMA
-        _, out = splitmix64_step_vec(state)
-        return (out % U64(self.num_ways)).astype(np.int64)
-
-
 #: Exact policy classes whose vector twin needs no stream bookkeeping.
 #: Subclasses are deliberately excluded — they may override anything.
 _DETERMINISTIC_ENGINES = {
@@ -424,11 +385,9 @@ def vector_replacement(
         return None
     num_sets, num_ways = policy.num_sets, policy.num_ways
     if type(policy) is RandomReplacement:
-        kind, value = policy.stream_descriptor()
-        if kind == "xorshift":
-            table = FixedDrawTable(XorShift128(seed=value), num_ways)
-            return VectorRandom(num_elements, num_sets, num_ways, table)
-        return VectorCounterRandom(num_elements, num_sets, num_ways, value)
+        _, seed = policy.stream_descriptor()
+        table = FixedDrawTable(XorShift128(seed=seed), num_ways)
+        return VectorRandom(num_elements, num_sets, num_ways, table)
     return _DETERMINISTIC_ENGINES[type(policy)](
         num_elements, num_sets, num_ways
     )

@@ -8,9 +8,8 @@ Two sources, one document shape:
   worker with its host and idle-heartbeat age.  Works against any
   live queue without touching the dispatcher.
 * :func:`coordinator_status` asks a coordinator's ``GET /metrics``
-  for the same document computed server-side (with its uptime and
-  throughput counters riding along), falling back to the original
-  ``GET /stats`` shape against older coordinators.
+  for the same document computed server-side, with its uptime and
+  throughput counters riding along.
 
 Both render through :func:`render_status`, so the operator sees the
 same view whether the fleet is filesystem- or HTTP-served.
@@ -21,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.reporting import format_duration, format_table
 
@@ -119,32 +118,15 @@ def queue_dir_status(
 
 def coordinator_status(url: str, *, retry_timeout: float = 10.0
                        ) -> Dict[str, Any]:
-    """The coordinator's fleet snapshot (``/metrics``, falling back
-    to ``/stats`` for coordinators predating the endpoint)."""
+    """The coordinator's fleet snapshot (``GET /metrics``)."""
     from repro.backends.coordinator import CoordinatorClient
 
     client = CoordinatorClient(url, retry_timeout=retry_timeout)
-    try:
-        status, doc = client.request_json("GET", "/metrics")
-    except Exception:
-        status, doc = 404, None
-    if status != 200 or not isinstance(doc, dict):
-        status, doc = client.request_json("GET", "/stats")
-        if status != 200 or not isinstance(doc, dict):
-            raise RuntimeError(
-                f"coordinator at {url} answered {status} to /stats"
-            )
-        # Adapt the legacy shape: counts only, no lease/worker detail.
-        doc = {
-            "queue_dir": doc.get("queue_dir"),
-            "stopped": doc.get("stopped", False),
-            "tasks": doc.get("tasks", 0),
-            "results": doc.get("results", 0),
-            "leases": [],
-            "lease_count": doc.get("leases", 0),
-            "workers": [],
-            "workers_by_host": doc.get("workers_by_host", {}),
-        }
+    status, doc = client.request_json("GET", "/metrics")
+    if status != 200:
+        raise RuntimeError(
+            f"coordinator at {url} answered {status} to /metrics"
+        )
     doc.setdefault("coordinator", url)
     return doc
 
@@ -156,10 +138,9 @@ def render_status(doc: Dict[str, Any]) -> str:
     stopped = "yes" if doc.get("stopped") else "no"
     out.append(f"fleet: {source} (stop sentinel: {stopped})")
     leases = doc.get("leases", [])
-    lease_count = doc.get("lease_count", len(leases))
     out.append(
         f"depth: {doc.get('tasks', 0)} pending, "
-        f"{lease_count} in flight, "
+        f"{len(leases)} in flight, "
         f"{doc.get('results', 0)} result(s) awaiting collection"
     )
     uptime = doc.get("uptime")

@@ -428,12 +428,18 @@ class TestHeartbeatLiveness:
     def _boom(self, path):
         raise RuntimeError("simulated heartbeat thread crash")
 
+    def _stamped_lease(self, tmp_path):
+        """A directory store holding lease ``u`` stamped by ``w1``."""
+        store = wq.DirectoryQueueStore(str(tmp_path))
+        lease = tmp_path / LEASES_DIR / "u.json"
+        lease.write_text(json.dumps({"worker": "w1"}))
+        return store, lease
+
     def test_thread_death_recorded_in_lease_doc(self, tmp_path,
                                                 monkeypatch):
-        lease = tmp_path / "u.json"
-        lease.write_text(json.dumps({"worker": "w1"}))
+        store, lease = self._stamped_lease(tmp_path)
         monkeypatch.setattr(wq, "_touch", self._boom)
-        heartbeat = wq._Heartbeat(str(lease), interval=0.01)
+        heartbeat = wq._Heartbeat("u", 0.01, store, "w1")
         with heartbeat:
             assert heartbeat.failed.wait(timeout=10.0)
         doc = json.loads(lease.read_text())
@@ -446,14 +452,13 @@ class TestHeartbeatLiveness:
     def test_transient_oserror_keeps_beating(self, tmp_path,
                                              monkeypatch):
         """An EIO/NFS hiccup must not read as thread death."""
-        lease = tmp_path / "u.json"
-        lease.write_text(json.dumps({"worker": "w1"}))
+        store, _ = self._stamped_lease(tmp_path)
 
         def hiccup(path):
             raise OSError("transient")
 
         monkeypatch.setattr(wq, "_touch", hiccup)
-        heartbeat = wq._Heartbeat(str(lease), interval=0.01)
+        heartbeat = wq._Heartbeat("u", 0.01, store, "w1")
         with heartbeat:
             time.sleep(0.1)
         assert not heartbeat.failed.is_set()
@@ -462,14 +467,13 @@ class TestHeartbeatLiveness:
                                             monkeypatch):
         """Lease gone = re-enqueued from under us; the thread exits
         quietly and the late result still counts (first wins)."""
-        lease = tmp_path / "u.json"
-        lease.write_text(json.dumps({"worker": "w1"}))
+        store, _ = self._stamped_lease(tmp_path)
 
         def gone(path):
             raise FileNotFoundError(path)
 
         monkeypatch.setattr(wq, "_touch", gone)
-        heartbeat = wq._Heartbeat(str(lease), interval=0.01)
+        heartbeat = wq._Heartbeat("u", 0.01, store, "w1")
         with heartbeat:
             time.sleep(0.1)
         assert not heartbeat.failed.is_set()
@@ -669,11 +673,9 @@ class TestElasticSupervisor:
     def _supervisor(self, tmp_path, monkeypatch, clock, **kwargs):
         spawned = []
 
-        def fake_spawn(queue_dir, worker_id, poll_interval):
+        def fake_spawn(worker_args, worker_id, poll_interval, log_dir):
             spawned.append(worker_id)
-            return _FakeProc(), os.path.join(
-                queue_dir, WORKERS_DIR, worker_id + ".log"
-            )
+            return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", fake_spawn)
         kwargs.setdefault("min_workers", 1)
@@ -788,6 +790,30 @@ class TestElasticSupervisor:
         supervisor.tick()
         assert len(spawned) == 1  # one pending unit → one worker
 
+    def test_fresh_external_worker_serves_stale_does_not(self, tmp_path,
+                                                        monkeypatch):
+        """An external worker with a fresh ``workers/<id>.json`` is
+        serving capacity: it suppresses one spawn and shows in the
+        fleet view under the host its info doc advertises.  Once that
+        heartbeat is older than ``heartbeat_fresh`` it is neither."""
+        for fresh in (True, False):
+            queue = tmp_path / ("fresh" if fresh else "stale")
+            supervisor, spawned = self._supervisor(
+                queue, monkeypatch, clock=lambda: 0.0, min_workers=0
+            )
+            self._enqueue(queue, "a", "b")
+            info = queue / WORKERS_DIR / "ext.json"
+            info.write_text(json.dumps({"worker_id": "ext",
+                                        "host": "delta"}))
+            if not fresh:
+                old = time.time() - 10 * supervisor.heartbeat_fresh
+                os.utime(info, (old, old))
+            supervisor.tick()
+            assert len(spawned) == (1 if fresh else 2)
+            by_host = supervisor.workers_by_host()
+            assert by_host.get("delta") == (1 if fresh else None)
+            assert sum(by_host.values()) == len(spawned) + fresh
+
     def test_unstamped_lease_counts_as_demand(self, tmp_path,
                                               monkeypatch):
         """The claim-to-stamp window is attributed conservatively."""
@@ -841,7 +867,7 @@ class TestElasticSupervisor:
         )
         self._enqueue(tmp_path, "a")
 
-        def broken_spawn(queue_dir, worker_id, poll_interval):
+        def broken_spawn(worker_args, worker_id, poll_interval, log_dir):
             raise OSError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", broken_spawn)
@@ -863,7 +889,7 @@ class TestElasticSupervisor:
         self._enqueue(tmp_path, "a")
         good_spawn = wq._spawn_worker_process
 
-        def broken_spawn(queue_dir, worker_id, poll_interval):
+        def broken_spawn(worker_args, worker_id, poll_interval, log_dir):
             raise OSError("transient")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", broken_spawn)
@@ -1335,11 +1361,9 @@ class TestMultiHostIdentity:
     other.  Every generated id now carries the host label."""
 
     def _fake_spawn(self, spawned):
-        def fake(queue_dir, worker_id, poll_interval):
+        def fake(worker_args, worker_id, poll_interval, log_dir):
             spawned.append(worker_id)
-            return _FakeProc(), os.path.join(
-                queue_dir, WORKERS_DIR, worker_id + ".log"
-            )
+            return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
         return fake
 

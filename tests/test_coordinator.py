@@ -27,7 +27,6 @@ import pytest
 from repro.backends import (
     CoordinatorClient,
     CoordinatorServer,
-    CoordinatorWorkerLauncher,
     ElasticSupervisor,
     HttpQueueBackend,
     WorkUnit,
@@ -191,7 +190,7 @@ class TestWireProtocol:
         claim(client, worker="w2", host="beta")  # idle: no unit left
         status, stats = client.request_json("GET", "/stats")
         assert status == 200
-        assert stats["leases"] == 1 and stats["tasks"] == 0
+        assert len(stats["leases"]) == 1 and stats["tasks"] == 0
         # w1 shows through its stamped lease, w2 through its fresh
         # idle heartbeat.
         assert stats["workers_by_host"] == {"alpha": 1, "beta": 1}
@@ -662,36 +661,37 @@ class _FakeProc:
 
 
 class TestCoordinatorWorkerLauncher:
-    """The WorkerLauncher seam: an ElasticSupervisor next to the
-    coordinator launches ``--coordinator`` workers and aggregates
-    fleet stats per host."""
+    """An ElasticSupervisor next to the coordinator, given
+    ``worker_args=("--coordinator", url)``, spawns HTTP workers and
+    aggregates fleet stats per host."""
 
     def test_supervisor_spawns_http_workers_with_host_ids(
         self, tmp_path, monkeypatch
     ):
         launched = []
 
-        def fake_spawn(url, worker_id, poll_interval, log_dir):
-            launched.append((url, worker_id))
+        def fake_spawn(worker_args, worker_id, poll_interval, log_dir):
+            launched.append((worker_args, worker_id))
             return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", fake_spawn)
-        launcher = CoordinatorWorkerLauncher(
-            "http://example:8642", log_dir=str(tmp_path / "logs")
-        )
         supervisor = ElasticSupervisor(
             str(tmp_path / "queue"),
-            min_workers=2, max_workers=2, launcher=launcher,
+            min_workers=2, max_workers=2,
+            worker_args=("--coordinator", "http://example:8642"),
         )
         supervisor.tick()
         assert len(launched) == 2
-        assert all(url == "http://example:8642" for url, _ in launched)
-        # Ids are host-qualified through the launcher's host label.
         assert all(
-            worker_id.startswith(f"elastic-{launcher.host}-")
+            args == ("--coordinator", "http://example:8642")
+            for args, _ in launched
+        )
+        # Ids are host-qualified through the supervisor's host label.
+        assert all(
+            worker_id.startswith(f"elastic-{supervisor.host}-")
             for _, worker_id in launched
         )
-        assert supervisor.workers_by_host() == {launcher.host: 2}
+        assert supervisor.workers_by_host() == {supervisor.host: 2}
         supervisor.shutdown(timeout=1.0)
 
     def test_real_elastic_pool_drains_http_campaign(self, server):
@@ -701,10 +701,7 @@ class TestCoordinatorWorkerLauncher:
         supervisor = ElasticSupervisor(
             queue_dir,
             min_workers=1, max_workers=1, worker_poll=0.05,
-            launcher=CoordinatorWorkerLauncher(
-                server.url,
-                log_dir=os.path.join(queue_dir, "workers"),
-            ),
+            worker_args=("--coordinator", server.url),
         ).start()
         backend = HttpQueueBackend(
             server.url, lease_timeout=120.0, idle_timeout=120.0,
@@ -840,7 +837,7 @@ class TestSpawnedWorkerLogDir:
         ``repro-http-workers-*`` temp dir and nothing removed it."""
         launched = []
 
-        def fake_spawn(url, worker_id, poll_interval, log_dir):
+        def fake_spawn(worker_args, worker_id, poll_interval, log_dir):
             launched.append(worker_id)
             path = os.path.join(log_dir, worker_id + ".log")
             with open(path, "w") as handle:

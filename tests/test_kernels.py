@@ -48,7 +48,7 @@ from repro.cache.replacement import (
 )
 from repro.cache.rpcache import RPCache
 from repro.campaigns import CampaignRunner, ExperimentSpec
-from repro.common.prng import CounterStream, XorShift128, counter_key
+from repro.common.prng import XorShift128
 from repro.common.trace import MemoryAccess
 from repro.kernels import (
     VectorCacheBatch,
@@ -254,33 +254,6 @@ class TestReplacementEquivalence:
             # anything about sequencing.
             assert scalars[0].replacement.draws_consumed > 0
 
-    def test_counter_stream_random_bit_identical(self):
-        """Counter-mode random replacement (splitmix64 draws indexed
-        by miss ordinal) — the O(1)-random-access stream the vector
-        engine steps without materializing a table."""
-        geometry = GEOMETRIES[0]
-        key = counter_key(0xFEED)
-
-        def factory():
-            return SetAssociativeCache(
-                geometry,
-                make_placement("modulo", geometry.layout()),
-                RandomReplacement(geometry.num_sets, geometry.num_ways,
-                                  draws=CounterStream(key)),
-            )
-
-        scalars = replay_trace_check(factory, seed_parts=("counter",))
-        assert scalars[0].replacement.draws_consumed > 0
-
-    def test_counter_stream_matches_scalar_draw_sequencing(self):
-        """One draw per conflict miss, in access order: the counter
-        stream consumed k draws produces the same victims as replaying
-        draws 0..k-1 — the identity the vector engine relies on."""
-        stream = CounterStream(counter_key(7))
-        replayed = [stream.draw(k, 4) for k in range(64)]
-        assert replayed == [stream.draw(k, 4) for k in range(64)]
-        assert len(set(replayed)) > 1
-
     def test_per_lane_random_streams_bit_identical(self):
         """Random replacement where every trial's cache owns its own
         seeded XorShift128 (the Bernstein epoch caches): a per-lane
@@ -459,11 +432,6 @@ class TestVectorEnvelope:
         """Every fresh stock instance restarts the same fixed draw
         stream, which the vector engine replays from a shared table."""
         assert supports_vector_cache(self._random_cache())
-
-    def test_counter_random_replacement_is_inside(self):
-        assert supports_vector_cache(self._random_cache(
-            draws=CounterStream(counter_key(3))
-        ))
 
     def test_custom_prng_random_is_outside(self):
         """An externally-owned PRNG may have unknown state — the probe
