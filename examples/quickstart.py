@@ -13,7 +13,7 @@ Walks the package's layers bottom-up:
 Run:  python examples/quickstart.py
 """
 
-from repro import SETUP_NAMES, make_setup_hierarchy
+from repro.core.setups import SETUP_NAMES, make_setup_hierarchy
 from repro.campaigns import CampaignRunner, ExperimentSpec
 from repro.common.trace import MemoryAccess
 

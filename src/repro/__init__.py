@@ -19,73 +19,9 @@ The package provides:
 
 Quickstart::
 
-    from repro import BernsteinCaseStudy
+    from repro.core import BernsteinCaseStudy
     result = BernsteinCaseStudy("tscache", num_samples=20_000).run()
     print(result.report.summary_row("tscache"))
 """
 
-from repro.attack import BernsteinAttack, KeySpaceReport
-from repro.campaigns import (
-    CampaignResult,
-    CampaignRunner,
-    ExperimentSpec,
-    build_campaign,
-    register_experiment,
-)
-from repro.cache import (
-    CacheGeometry,
-    CacheHierarchy,
-    HierarchyConfig,
-    RPCache,
-    SetAssociativeCache,
-    make_placement,
-    make_replacement,
-)
-from repro.core import (
-    SETUP_NAMES,
-    AESTimingEngine,
-    BernsteinCaseStudy,
-    TSCacheSystem,
-    make_setup,
-    make_setup_hierarchy,
-)
-from repro.core.simulator import run_all_setups
-from repro.cpu import Processor, arm920t_processor
-from repro.crypto import AES128
-from repro.mbpta import MBPTAAnalysis, check_placement_properties
-from repro.rtos import SeedManager, SeedPolicy, System
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AES128",
-    "AESTimingEngine",
-    "BernsteinAttack",
-    "BernsteinCaseStudy",
-    "CacheGeometry",
-    "CacheHierarchy",
-    "CampaignResult",
-    "CampaignRunner",
-    "ExperimentSpec",
-    "HierarchyConfig",
-    "KeySpaceReport",
-    "MBPTAAnalysis",
-    "Processor",
-    "RPCache",
-    "SETUP_NAMES",
-    "SeedManager",
-    "SeedPolicy",
-    "SetAssociativeCache",
-    "System",
-    "TSCacheSystem",
-    "arm920t_processor",
-    "build_campaign",
-    "check_placement_properties",
-    "make_placement",
-    "make_replacement",
-    "make_setup",
-    "make_setup_hierarchy",
-    "register_experiment",
-    "run_all_setups",
-    "__version__",
-]

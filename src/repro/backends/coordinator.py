@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import pickle
 import random
 import shutil
@@ -52,12 +53,16 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.backends.workqueue import (
+    LEASES_DIR,
+    TASKS_DIR,
     DirectoryQueueStore,
     QueueBackend,
+    _read_json,
     _serve_store,
 )
 
@@ -97,6 +102,32 @@ class CoordinatorState(DirectoryQueueStore):
         #: never take ``self.lock``, so a submission can never block a
         #: worker's claim/result round-trip.
         self.scheduler = None
+        self._return_unstamped_leases()
+
+    def _return_unstamped_leases(self) -> None:
+        """Put leases that carry no owner back in ``tasks/``.
+
+        A claim renames the task into ``leases/`` and then stamps its
+        owner.  A coordinator killed in between leaves a lease that no
+        worker was told about, which would sit until its lease timeout.
+        The worker's retried claim cannot recognise it (its claim id
+        is only in the stamp), so a starting coordinator re-enqueues
+        it under the same attempt: the unit never ran.
+        """
+        leases_dir = os.path.join(self.queue_dir, LEASES_DIR)
+        for name in sorted(os.listdir(leases_dir)):
+            if not name.endswith(".json"):
+                continue  # a release tombstone or a torn write's temp
+            path = os.path.join(leases_dir, name)
+            doc = _read_json(path)
+            if doc is None or "worker" in doc:
+                continue
+            try:
+                os.rename(
+                    path, os.path.join(self.queue_dir, TASKS_DIR, name)
+                )
+            except OSError:
+                pass  # stamped, released or re-enqueued meanwhile
 
     def metrics(self) -> Dict[str, Any]:
         """The ``GET /metrics`` fleet snapshot.
@@ -206,6 +237,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
                 out = state.claim(
                     str(doc["worker"]),
                     str(doc.get("host") or "external"),
+                    str(doc["claim"]) if doc.get("claim") else None,
                 )
             return self._send_json(200, out)
         if head == "result" and rest:
@@ -599,8 +631,13 @@ class HttpQueueStore:
     # -- worker side ---------------------------------------------------------
 
     def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
+        """One claim; its id rides every retry, so a claim whose answer
+        was lost to a coordinator restart gets the same unit back."""
         return self._call_json(
-            "POST", "/claim", json_body={"worker": worker_id, "host": host}
+            "POST", "/claim", json_body={
+                "worker": worker_id, "host": host,
+                "claim": uuid.uuid4().hex,
+            },
         )
 
     def heartbeat(self, unit_id: str, worker_id: str) -> bool:

@@ -257,6 +257,33 @@ def _claim_next(queue_dir: str) -> Optional[str]:
     return None
 
 
+def _undelivered_lease(
+    queue_dir: str, worker_id: str, claim_id: str
+) -> Optional[Dict[str, Any]]:
+    """The lease an earlier try of claim ``claim_id`` stamped, if any.
+
+    A retried request carries the same claim id, so a match is a lease
+    whose claim answer never reached the worker (the coordinator died
+    after stamping, before replying).  Handing it out again beats
+    orphaning the unit until its lease times out.  A later claim has a
+    new id, so a unit the worker received and then dropped is never
+    handed back to it.
+    """
+    leases_dir = os.path.join(queue_dir, LEASES_DIR)
+    try:
+        names = sorted(os.listdir(leases_dir))
+    except FileNotFoundError:
+        return None
+    for name in names:
+        if not name.endswith(".json"):
+            continue  # a release tombstone
+        doc = _read_json(os.path.join(leases_dir, name))
+        if (doc is not None and doc.get("worker") == worker_id
+                and doc.get("claim") == claim_id):
+            return doc
+    return None
+
+
 def _release_lease(lease_path: str, worker_id: str) -> None:
     """Remove the lease only if this worker still owns it.
 
@@ -332,8 +359,16 @@ class DirectoryQueueStore:
 
     # -- worker side ---------------------------------------------------------
 
-    def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
+    def claim(
+        self, worker_id: str, host: str, claim_id: Optional[str] = None
+    ) -> Dict[str, Any]:
         """Claim the next unit, stamped with its owner.
+
+        ``claim_id`` names one claim request across its retries (the
+        HTTP transport sends one; an in-process claim cannot lose its
+        answer and needs none).  A lease already stamped by an earlier
+        try of the same request is delivered again instead of a new
+        unit (see :func:`_undelivered_lease`).
 
         The answer carries the queue-wide ``stop`` and this worker's
         ``retire`` verdicts (its ``workers/<id>.stop`` sentinel), both
@@ -359,6 +394,10 @@ class DirectoryQueueStore:
                     "started": time.time(),
                 }).encode(),
             )
+        if claim_id is not None:
+            doc = _undelivered_lease(self.queue_dir, worker_id, claim_id)
+            if doc is not None:
+                return {"unit": doc, "stop": False, "retire": False}
         unit_id = _claim_next(self.queue_dir)
         if unit_id is None:
             return {"unit": None, "stop": False, "retire": False}
@@ -373,6 +412,8 @@ class DirectoryQueueStore:
         # down this lease.
         doc["worker"] = worker_id
         doc["host"] = host
+        if claim_id is not None:
+            doc["claim"] = claim_id
         atomic_write_bytes(lease_path, json.dumps(doc).encode())
         return {"unit": doc, "stop": False, "retire": False}
 

@@ -33,11 +33,13 @@ import numpy as np
 #: Bump to invalidate cached results when cell semantics change.
 #: (2: block-keyed engine RNG streams + position-keyed pwcet run
 #: seeds — pre-sharding cached payloads are not reproducible by the
-#: current engine.)  The bump changes every spec_hash, so stale
-#: entries are simply never looked up again; it does NOT perturb
-#: seed_sequence(), which hashes the cell identity without the schema
-#: version.
-SPEC_SCHEMA_VERSION = 2
+#: current engine.  3: the Ljung-Box p-value comes from a closed-form
+#: chi-square tail, so cached pwcet payloads' full-precision p-values
+#: differ from the old library call's in the last bits.)  The bump changes every
+#: spec_hash, so stale entries are simply never looked up again; it
+#: does NOT perturb seed_sequence(), which hashes the cell identity
+#: without the schema version.
+SPEC_SCHEMA_VERSION = 3
 
 ParamItems = Tuple[Tuple[str, Any], ...]
 

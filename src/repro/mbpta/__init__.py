@@ -26,7 +26,6 @@ from repro.mbpta.stats_tests import (
     TestResult,
     ks_two_sample,
     ljung_box,
-    runs_test,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "TestResult",
     "ljung_box",
     "ks_two_sample",
-    "runs_test",
     "PlacementPropertyReport",
     "check_full_randomness",
     "check_apop_fixed_randomness",

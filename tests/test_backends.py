@@ -369,6 +369,30 @@ class TestWorkQueueFaults:
         results = list(fresh.completions())
         assert results[0].payload.accesses == 12000
 
+    def test_lost_claim_answer_redelivers_the_same_unit(self, tmp_path):
+        """Regression: a claim whose answer never reached the worker
+        (the coordinator died between stamping the lease and replying)
+        must not orphan the unit until its lease times out — the
+        retried request, which carries the same claim id, gets that
+        same unit back."""
+        store = wq.DirectoryQueueStore(str(tmp_path))
+        store.submit({"unit_id": "u1", "attempt": 1})
+        store.submit({"unit_id": "u2", "attempt": 1})
+        store.claim("w1", "h", "c1")  # the answer is lost
+        again = store.claim("w1", "h", "c1")["unit"]
+        assert again["unit_id"] == "u1" and again["worker"] == "w1"
+        # Another worker is not handed w1's lease.
+        assert store.claim("w2", "h", "c1")["unit"]["unit_id"] == "u2"
+
+    def test_new_claim_never_returns_a_received_unit(self, tmp_path):
+        """A unit the worker received (and then dropped or finished)
+        is not handed back by its next claim, which has a new id."""
+        store = wq.DirectoryQueueStore(str(tmp_path))
+        store.submit({"unit_id": "u1", "attempt": 1})
+        assert store.claim("w1", "h", "c1")["unit"]["unit_id"] == "u1"
+        assert store.claim("w1", "h", "c2")["unit"] is None
+        assert store.claim("w1", "h")["unit"] is None
+
     def test_lost_claim_skipped_not_fatal(self, tmp_path, monkeypatch):
         """Regression: a worker whose freshly-claimed lease was
         re-enqueued from under it (stale task mtime) must move on,

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -523,3 +527,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "128 accesses" in out
         assert "l1d" in out
+
+
+class TestRuntimeDependencies:
+    def test_pwcet_campaign_runs_without_scipy(self):
+        """The runtime is NumPy plus the standard library: a whole
+        pwcet campaign (Ljung-Box and KS admission included) never
+        imports scipy, which only the test suites use."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.cli import main
+            status = main(["campaign", "pwcet", "--samples", "40",
+                           "--json", "--quiet"])
+            assert status == 0, status
+            assert "scipy" not in sys.modules, "scipy was imported"
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cells"]

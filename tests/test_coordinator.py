@@ -112,6 +112,21 @@ def http_worker_thread(url, **kwargs):
 class TestWireProtocol:
     """The raw endpoint lifecycle against an in-thread coordinator."""
 
+    def test_retried_claim_gets_the_same_unit(self, server):
+        """A ``POST /claim`` retried with the same claim id (its first
+        answer was lost) gets the unit the first try stamped."""
+        client = make_client(server)
+        for unit_id in ("u1", "u2"):
+            submit_unit(client, WorkUnit(
+                unit_id=unit_id, spec=timing_spec(num_samples=64)
+            ))
+        body = {"worker": "w1", "host": "testhost", "claim": "c1"}
+        first = client.request_json("POST", "/claim", json_body=body)[1]
+        retry = client.request_json("POST", "/claim", json_body=body)[1]
+        assert first["unit"]["unit_id"] == retry["unit"]["unit_id"]
+        assert claim(client, worker="w1")["unit"]["unit_id"] != \
+            first["unit"]["unit_id"]
+
     def test_submit_claim_result_roundtrip(self, server):
         client = make_client(server)
         unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
@@ -639,6 +654,27 @@ class TestCoordinatorCrashRestart:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10.0)
+
+
+class TestClaimCutShortByRestart:
+    """A coordinator killed between a claim's rename and its ownership
+    stamp leaves a lease no worker knows about; its replacement must
+    hand the unit out again instead of waiting out the lease timeout."""
+
+    def test_restart_requeues_unstamped_lease(self, tmp_path):
+        queue_dir = str(tmp_path / "queue")
+        store = wq.DirectoryQueueStore(queue_dir)
+        store.submit({"unit_id": "owned", "attempt": 1})
+        assert store.claim("w1", "h")["unit"]["unit_id"] == "owned"
+        store.submit({"unit_id": "cut", "attempt": 1})
+        assert wq._claim_next(queue_dir) == "cut"  # killed: no stamp
+        state = coord_mod.CoordinatorState(queue_dir)
+        assert os.path.exists(_task_path(queue_dir, "cut"))
+        assert not os.path.exists(_lease_path(queue_dir, "cut"))
+        # A stamped lease belongs to a worker that got its answer.
+        assert os.path.exists(_lease_path(queue_dir, "owned"))
+        unit = state.claim("w2", "h")["unit"]
+        assert (unit["unit_id"], unit["attempt"]) == ("cut", 1)
 
 
 class _FakeProc:

@@ -1,15 +1,16 @@
-"""Tests for the Ljung-Box / KS / runs statistical tests, validated
-against distributions with known properties and scipy references."""
+"""Tests for the Ljung-Box / KS statistical tests, validated against
+distributions with known properties and scipy references (scipy is a
+test-only dependency: the package itself never imports it)."""
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from repro.mbpta.stats_tests import (
+    _chi2_sf,
     autocorrelations,
     ks_two_sample,
     ljung_box,
-    runs_test,
 )
 
 
@@ -110,21 +111,18 @@ class TestKSTwoSample:
             ks_two_sample([], [1.0])
 
 
-class TestRunsTest:
-    def test_random_passes(self):
-        assert runs_test(RNG.normal(size=1000)).passed
+class TestChi2Sf:
+    """The closed-form chi-square tail behind the Ljung-Box p-value."""
 
-    def test_alternating_fails(self):
-        data = np.array([0.0, 1.0] * 300)
-        assert not runs_test(data).passed
+    # 0, the body of every df up to 40, and tails down to ~1e-282.
+    Q_GRID = [0.0, 1e-12, 1e-6, 0.01, 0.3, 1.0, 2.5, 5.0, 10.0, 19.7,
+              31.4, 50.0, 80.0, 150.0, 300.0, 700.0, 1400.0]
 
-    def test_blocked_fails(self):
-        data = np.concatenate([np.zeros(300), np.ones(300)])
-        assert not runs_test(data).passed
-
-    def test_constant_neutral(self):
-        result = runs_test(np.ones(100))
-        assert result.passed
+    @pytest.mark.parametrize("df", range(1, 41))
+    def test_matches_scipy(self, df):
+        ours = [_chi2_sf(q, df) for q in self.Q_GRID]
+        reference = scipy_stats.chi2.sf(self.Q_GRID, df)
+        np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=0)
 
 
 class TestTestResult:
