@@ -45,14 +45,17 @@ from repro.campaigns import ExperimentSpec
 from repro.campaigns.experiments import (
     _contention_attack,
     _contention_seeder,
+    _missrate_counts_scalar,
+    _missrate_inputs,
     _pwcet_times,
+    _pwcet_times_scalar,
+    _pwcet_trace,
     resolve_contention_kernel,
     resolve_engine_kernel,
     resolve_missrate_kernel,
     resolve_pwcet_kernel,
     run_missrate,
 )
-from repro.campaigns.registry import KernelResolution
 from repro.core.batch import (
     NUM_TABLE_LINES,
     AESTimingEngine,
@@ -130,17 +133,18 @@ def _bench_spec(kind, setup, params, samples) -> ExperimentSpec:
     )
 
 
-def _time_block(attack, trials, seeder, repeats: int) -> tuple:
-    """(best seconds, correct count) for one full trial block."""
+def _time_block(count_correct, repeats: int) -> tuple:
+    """(best seconds, correct count) of ``count_correct()``, one full
+    trial block."""
     best = float("inf")
     correct = None
     for _ in range(repeats):
         started = time.perf_counter()
-        block = attack.run_block(0, trials, trials, seeder)
+        block_correct = count_correct()
         best = min(best, time.perf_counter() - started)
         if correct is None:
-            correct = block.correct
-        elif correct != block.correct:
+            correct = block_correct
+        elif correct != block_correct:
             raise AssertionError("non-deterministic trial block")
     return best, correct
 
@@ -181,10 +185,14 @@ def _bench_contention(kind, setup, params, trials, floor, repeats) -> dict:
     spec = _bench_spec(kind, setup, params, trials)
     seeder = _contention_seeder(spec)
     resolved = resolve_contention_kernel(spec)
-    scalar = _contention_attack(spec.with_params(kernel="scalar"))
-    vector = _contention_attack(spec.with_params(kernel="vector"))
-    scalar_s, scalar_correct = _time_block(scalar, trials, seeder, repeats)
-    vector_s, vector_correct = _time_block(vector, trials, seeder, repeats)
+    attack = _contention_attack(spec)
+    scalar_s, scalar_correct = _time_block(
+        lambda: attack._run_block_scalar(0, trials, seeder), repeats
+    )
+    vector_s, vector_correct = _time_block(
+        lambda: attack.run_block(0, trials, trials, seeder).correct,
+        repeats,
+    )
     if scalar_correct != vector_correct:
         raise AssertionError(
             f"{kind}/{setup}: vector kernel diverged from scalar "
@@ -197,13 +205,12 @@ def _bench_contention(kind, setup, params, trials, floor, repeats) -> dict:
 def _bench_pwcet(setup, params, runs, floor, repeats) -> dict:
     spec = _bench_spec("pwcet", setup, params, runs)
     resolved = resolve_pwcet_kernel(spec)
-    scalar_spec = spec.with_params(kernel="scalar")
-    vector_spec = spec.with_params(kernel="vector")
     scalar_s, scalar_times = _time_fn(
-        lambda: _pwcet_times(scalar_spec, 0, runs), repeats
+        lambda: _pwcet_times_scalar(spec, _pwcet_trace(spec), 0, runs),
+        repeats,
     )
     vector_s, vector_times = _time_fn(
-        lambda: _pwcet_times(vector_spec, 0, runs), repeats
+        lambda: _pwcet_times(spec, 0, runs), repeats
     )
     if not np.array_equal(scalar_times, vector_times):
         raise AssertionError(
@@ -219,24 +226,24 @@ def _bench_missrate(policy, params, floor, repeats) -> dict:
         params=(("policy", policy),) + params,
     )
     resolved = resolve_missrate_kernel(spec)
-    scalar_s, scalar_payload = _time_fn(
-        lambda: run_missrate(spec.with_params(kernel="scalar")), repeats
+    scalar_s, (accesses, misses) = _time_fn(
+        lambda: _missrate_counts_scalar(*_missrate_inputs(spec)), repeats
     )
     vector_s, vector_payload = _time_fn(
-        lambda: run_missrate(spec.with_params(kernel="vector")), repeats
+        lambda: run_missrate(spec), repeats
     )
-    if (scalar_payload.accesses, scalar_payload.misses) != (
-            vector_payload.accesses, vector_payload.misses):
+    if (accesses, misses) != (vector_payload.accesses,
+                              vector_payload.misses):
         raise AssertionError(
             f"missrate/{policy}: vector replay diverged from scalar"
         )
     return _row("missrate", policy, params, 1, floor, resolved,
-                scalar_payload.misses, scalar_s, vector_s)
+                misses, scalar_s, vector_s)
 
 
 def _bench_epoch_states(setup, samples, floor, repeats) -> dict:
     spec = _bench_spec("bernstein", setup, (), samples)
-    resolved = KernelResolution(resolve_engine_kernel(spec))
+    resolved = resolve_engine_kernel(spec)
     engine = AESTimingEngine(make_setup(setup))
     model = engine.cold_model
     epochs = [
@@ -309,7 +316,7 @@ def _per_block_timings(engine, key, samples) -> np.ndarray:
 
 def _bench_aes_timings(setup, samples, floor, repeats) -> dict:
     spec = _bench_spec("bernstein", setup, (), samples)
-    resolved = KernelResolution(resolve_engine_kernel(spec))
+    resolved = resolve_engine_kernel(spec)
     engine = AESTimingEngine(make_setup(setup))
     key = bytes(range(16))
     scalar_s, scalar_timings = _time_fn(

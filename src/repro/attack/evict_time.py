@@ -55,9 +55,8 @@ class EvictTimeAttack(TrialAttack):
         attacker_base: int = 0x0A00_0000,
         miss_penalty: int = 10,
         seed: SeedLike = None,
-        kernel: str = "auto",
     ) -> None:
-        super().__init__(num_entries=num_entries, seed=seed, kernel=kernel)
+        super().__init__(num_entries=num_entries, seed=seed)
         self.cache_factory = cache_factory
         self.table_base = table_base
         self.victim_pid = victim_pid

@@ -56,9 +56,8 @@ class PrimeProbeAttack(TrialAttack):
         attacker_pid: int = 2,
         attacker_base: int = 0x0900_0000,
         seed: SeedLike = None,
-        kernel: str = "auto",
     ) -> None:
-        super().__init__(num_entries=num_entries, seed=seed, kernel=kernel)
+        super().__init__(num_entries=num_entries, seed=seed)
         self.cache_factory = cache_factory
         self.table_base = table_base
         self.victim_pid = victim_pid

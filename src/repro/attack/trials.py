@@ -40,15 +40,6 @@ SeedVictimFn = Callable[[object, int], None]
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
-#: Valid kernel selections for trial execution.  "auto" and "vector"
-#: both prefer the batched NumPy kernel and fall back to the scalar
-#: loop outside its envelope (the difference is intent: "vector"
-#: documents that the caller *expects* vectorization, and the
-#: campaign layer surfaces the resolved choice in ``--dry-run``);
-#: "scalar" forces the per-trial loop.
-KERNEL_CHOICES = ("auto", "vector", "scalar")
-
-
 def as_seed_sequence(seed: SeedLike, default: int = 0) -> np.random.SeedSequence:
     """Normalize an int / ``SeedSequence`` / None to a ``SeedSequence``."""
     if isinstance(seed, np.random.SeedSequence):
@@ -171,12 +162,11 @@ class TrialAttack:
         :meth:`ExperimentSpec.seed_sequence` cell stream), or None for
         the subclass default.  Trial ``t`` draws from the child stream
         ``spawn_key + (t,)``, so outcomes depend only on (root, t).
-    kernel:
-        Trial-execution kernel: "auto" (default) or "vector" run whole
-        blocks through :mod:`repro.kernels` when the cache is inside
-        the vector envelope, falling back to the scalar loop otherwise;
-        "scalar" forces the per-trial loop.  Outcomes are bit-identical
-        either way — the kernel only changes throughput.
+
+    Blocks run through :mod:`repro.kernels` when the cache is inside
+    the vector envelope and through the per-trial loop
+    (:meth:`_run_block_scalar`) otherwise.  Outcomes are bit-identical
+    either way — the kernel only changes throughput.
     """
 
     #: Result class produced by :meth:`run` (subclasses override).
@@ -186,16 +176,10 @@ class TrialAttack:
     #: Historical default root seed (subclasses override).
     default_seed = 0
 
-    def __init__(self, num_entries: int, seed: SeedLike = None,
-                 kernel: str = "auto") -> None:
+    def __init__(self, num_entries: int, seed: SeedLike = None) -> None:
         if num_entries < 2:
             raise ValueError("num_entries must be at least 2")
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
-            )
         self.num_entries = num_entries
-        self.kernel = kernel
         self.seed_root = as_seed_sequence(seed, default=self.default_seed)
 
     # -- randomness --------------------------------------------------------
@@ -230,6 +214,22 @@ class TrialAttack:
         class) or falls outside its envelope (subclasses)."""
         return None
 
+    def _run_block_scalar(
+        self,
+        start: int,
+        end: int,
+        seed_victim: Optional[SeedVictimFn] = None,
+    ) -> int:
+        """Correct-guess count of ``[start, end)``, one
+        :meth:`run_trial` at a time: the fallback outside the vector
+        envelope and the reference the vector kernels are tested
+        against."""
+        return sum(
+            1
+            for trial in range(start, end)
+            if self.run_trial(self.trial_rng(trial), trial, seed_victim)
+        )
+
     def run_block(
         self,
         start: int,
@@ -247,15 +247,9 @@ class TrialAttack:
             raise ValueError(
                 f"bad trial range [{start}, {end}) of {total_trials}"
             )
-        correct = None
-        if self.kernel != "scalar":
-            correct = self._run_block_vector(start, end, seed_victim)
+        correct = self._run_block_vector(start, end, seed_victim)
         if correct is None:  # no vector path, or escape hatch taken
-            correct = sum(
-                1
-                for trial in range(start, end)
-                if self.run_trial(self.trial_rng(trial), trial, seed_victim)
-            )
+            correct = self._run_block_scalar(start, end, seed_victim)
         return TrialBlock(
             start=start,
             end=end,

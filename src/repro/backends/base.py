@@ -123,9 +123,8 @@ class WorkResult:
     attempts: int = 1
     #: Execution-only phase timings stamped by the worker (wall-clock
     #: start/end, CPU seconds, host) — telemetry metadata that rides
-    #: the wire next to the payload but, like
-    #: :data:`~repro.campaigns.spec.EXECUTION_PARAMS`, never enters
-    #: spec identity or the payload bytes.
+    #: the wire next to the payload but never enters spec identity or
+    #: the payload bytes.
     timings: Optional[Mapping[str, Any]] = None
 
 

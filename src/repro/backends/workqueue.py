@@ -716,9 +716,8 @@ def _execute_claimed(
                 importlib.import_module(module)
             payload, elapsed = execute_unit(WorkUnit.from_doc(doc))
             # Phase timings are execution-only metadata riding next to
-            # the payload (like EXECUTION_PARAMS stays out of spec
-            # identity): telemetry reads them, payload bytes never
-            # depend on them.
+            # the payload, outside spec identity: telemetry reads
+            # them, payload bytes never depend on them.
             result.update(
                 ok=True, payload=payload, elapsed=elapsed,
                 timings=stamp_timings(started, cpu0),
@@ -937,6 +936,9 @@ class ElasticSupervisor:
       (``workers/<id>.stop``): a retiring worker finishes the unit it
       holds a lease on and exits, so retirement never abandons a
       lease mid-unit.
+    * **stopped** — while the queue-wide stop sentinel is set, no
+      scaling at all: every worker exits on it, so a spawn would only
+      churn.
 
     Each observation is one :func:`queue_dir_status` snapshot.  The
     pool's workers run ``repro worker <worker_args>`` — by default
@@ -1022,8 +1024,9 @@ class ElasticSupervisor:
 
     # -- observation ---------------------------------------------------------
 
-    def _observe(self) -> Tuple[int, int, Dict[str, str]]:
-        """``(pending, busy, fresh externals)`` from one snapshot.
+    def _observe(self) -> Tuple[int, int, Dict[str, str], bool]:
+        """``(pending, busy, fresh externals, stopped)`` from one
+        snapshot.
 
         ``busy`` counts leases not stamped by an external worker: a
         unit an external worker holds is already served by capacity we
@@ -1032,8 +1035,8 @@ class ElasticSupervisor:
         demand.  Fresh externals are ``{worker id: host}`` of workers
         we do not own whose info file is at most ``heartbeat_fresh``
         old — busy or idle (a busy external with a stale info file
-        shows through its stamped lease instead).  Caller holds
-        ``_lock``.
+        shows through its stamped lease instead).  ``stopped`` is the
+        queue-wide stop sentinel.  Caller holds ``_lock``.
         """
         doc = queue_dir_status(
             self.queue_dir, heartbeat_fresh=self.heartbeat_fresh
@@ -1048,7 +1051,7 @@ class ElasticSupervisor:
             if row["worker"] not in own
             and row["age"] <= self.heartbeat_fresh
         }
-        return doc["tasks"], busy, externals
+        return doc["tasks"], busy, externals, doc["stopped"]
 
     def workers_by_host(self) -> Dict[str, int]:
         """Live workers aggregated per host: the supervisor's own pool
@@ -1065,7 +1068,7 @@ class ElasticSupervisor:
             )
             if own:
                 counts[self.host] = own
-            _, _, externals = self._observe()
+            _, _, externals, _ = self._observe()
             for host in externals.values():
                 counts[host] = counts.get(host, 0) + 1
             return counts
@@ -1143,7 +1146,12 @@ class ElasticSupervisor:
         """One observe-and-scale step (idempotent, any call rate)."""
         with self._lock:
             self._reap()
-            pending, busy, externals = self._observe()
+            pending, busy, externals, stopped = self._observe()
+            if stopped:
+                # A new worker would exit at once: the queue-wide stop
+                # sentinel retires the whole fleet, ours included.
+                self._surplus_since = None
+                return
             own = len(self._procs)
             target = min(
                 self.max_workers,

@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attack.trials import KERNEL_CHOICES
 from repro.campaigns.registry import KernelResolution, register_experiment
 from repro.campaigns.spec import ExperimentSpec
 from repro.cache.core import ARM920T_L1_GEOMETRY, SetAssociativeCache
@@ -133,39 +132,19 @@ def _key_param(spec: ExperimentSpec, name: str) -> Optional[bytes]:
     return key
 
 
-def _spec_kernel(spec: ExperimentSpec) -> str:
-    """The cell's requested execution kernel (an execution hint).
-
-    ``kernel`` is an :data:`~repro.campaigns.spec.EXECUTION_PARAMS`
-    member: it selects how the cell computes, never what — results are
-    bit-identical across kernels, and the param is excluded from the
-    spec's identity (cache key and seed stream).
-    """
-    kernel = str(spec.param("kernel", "auto"))
-    if kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
-        )
-    return kernel
-
-
-def resolve_engine_kernel(spec: ExperimentSpec) -> str:
-    """Every engine-backed cell runs "vector", whatever the hint.
+def resolve_engine_kernel(spec: ExperimentSpec) -> KernelResolution:
+    """Every engine-backed cell runs "vector".
 
     The AES timing engine has no scalar path: encryptions and timings
     are NumPy batches, and the per-epoch cold-line replay runs every
-    epoch of a shard as one lane of a vector cache pass.  The hint is
-    still validated so ``--dry-run`` rejects a typo before dispatch."""
-    _spec_kernel(spec)
-    return "vector"
+    epoch of a shard as one lane of a vector cache pass."""
+    return KernelResolution("vector")
 
 
 def resolve_pwcet_kernel(spec: ExperimentSpec) -> KernelResolution:
     """pwcet cells batch over runs when the setup's hierarchy config is
     inside the trace-replay envelope (vectorizable placements, fixed or
     per-run-restarting replacement streams)."""
-    if _spec_kernel(spec) == "scalar":
-        return KernelResolution("scalar")
     from repro.kernels.replay import hierarchy_support
 
     reason = hierarchy_support(setup_hierarchy_config(spec.setup))
@@ -179,8 +158,6 @@ def resolve_missrate_kernel(spec: ExperimentSpec) -> KernelResolution:
     state is independent across sets; random replacement's globally
     sequenced draws keep it on the scalar path, with the reason
     recorded."""
-    if _spec_kernel(spec) == "scalar":
-        return KernelResolution("scalar")
     from repro.kernels.replay import missrate_support
 
     reason = missrate_support(_missrate_cache(spec))
@@ -458,6 +435,23 @@ def _pwcet_times_vector(
     return batch.run_trace(trace).astype(np.float64)
 
 
+def _pwcet_times_scalar(
+    spec: ExperimentSpec, trace, start: int, end: int
+) -> np.ndarray:
+    """Runs ``[start, end)`` one fresh hierarchy at a time: the
+    fallback outside the vector envelope and the reference the replay
+    kernel is tested against."""
+    reseed = bool(spec.param("reseed", True))
+    root = spec.seed_sequence() if reseed else None
+    times = np.empty(end - start)
+    for offset, run in enumerate(range(start, end)):
+        hierarchy = make_setup_hierarchy(spec.setup)
+        if root is not None:
+            hierarchy.set_seeds(_pwcet_run_seed(root, run))
+        times[offset] = hierarchy.run_trace(trace)
+    return times
+
+
 def _pwcet_times(spec: ExperimentSpec, start: int, end: int) -> np.ndarray:
     """Execution times of runs ``[start, end)`` of the cell's budget.
 
@@ -469,19 +463,11 @@ def _pwcet_times(spec: ExperimentSpec, start: int, end: int) -> np.ndarray:
     in what order.
     """
     trace = _pwcet_trace(spec)
-    if _spec_kernel(spec) != "scalar" and end > start:
+    if end > start:
         times = _pwcet_times_vector(spec, trace, start, end)
         if times is not None:
             return times
-    reseed = bool(spec.param("reseed", True))
-    root = spec.seed_sequence() if reseed else None
-    times = np.empty(end - start)
-    for offset, run in enumerate(range(start, end)):
-        hierarchy = make_setup_hierarchy(spec.setup)
-        if root is not None:
-            hierarchy.set_seeds(_pwcet_run_seed(root, run))
-        times[offset] = hierarchy.run_trace(trace)
-    return times
+    return _pwcet_times_scalar(spec, trace, start, end)
 
 
 def _pwcet_payload(spec: ExperimentSpec, times: np.ndarray) -> PwcetPayload:
@@ -703,7 +689,6 @@ def _contention_attack(spec: ExperimentSpec):
         victim_pid=int(spec.param("victim_pid", 1)),
         attacker_pid=int(spec.param("attacker_pid", 2)),
         seed=spec.seed_sequence(),
-        kernel=_spec_kernel(spec),
     )
     if spec.kind == "evict_time":
         kwargs["miss_penalty"] = int(spec.param("miss_penalty", 10))
@@ -713,14 +698,10 @@ def _contention_attack(spec: ExperimentSpec):
 def resolve_contention_kernel(spec: ExperimentSpec) -> KernelResolution:
     """The kernel a contention cell will actually execute on.
 
-    Resolves the spec's hint against the vector envelope by probing a
-    freshly-built cache with the *same* capability check the attack
-    applies per block; "auto"/"vector" fall back to scalar outside it
-    (e.g. a custom replacement PRNG, a wide hashRP) with the probe's
-    reason attached."""
-    kernel = _spec_kernel(spec)
-    if kernel == "scalar":
-        return KernelResolution("scalar")
+    Probes a freshly-built cache with the *same* capability check the
+    attack applies per block; outside the vector envelope (e.g. a
+    custom replacement PRNG, a wide hashRP) the cell falls back to
+    scalar with the probe's reason attached."""
     from repro.kernels.trials import vector_cache_support
 
     reason = vector_cache_support(_contention_cache_factory(spec)())
@@ -942,6 +923,32 @@ def _missrate_cache(spec: ExperimentSpec) -> SetAssociativeCache:
     )
 
 
+def _missrate_inputs(spec: ExperimentSpec):
+    """The cell's seeded cache and its workload trace."""
+    workload = spec.param("workload")
+    if spec.param("policy") is None or workload is None:
+        raise ValueError("missrate cells need 'policy' and 'workload' params")
+    try:
+        trace = WORKLOAD_BUILDERS[workload]()
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {workload!r}; "
+            f"choose from {sorted(WORKLOAD_BUILDERS)}"
+        ) from None
+    cache = _missrate_cache(spec)
+    cache.set_seed(spec.seed)
+    return cache, trace
+
+
+def _missrate_counts_scalar(cache, trace) -> Tuple[int, int]:
+    """``(accesses, misses)`` of ``trace`` replayed one access at a
+    time: the fallback outside the set-parallel envelope and the
+    reference the replay kernel is tested against."""
+    for access in trace:
+        cache.access(access)
+    return cache.stats.accesses, cache.stats.misses
+
+
 @register_experiment(
     "missrate",
     summarize=_summarize_missrate,
@@ -955,38 +962,17 @@ def run_missrate(spec: ExperimentSpec) -> MissRatePayload:
     The cache seed is the spec's root ``seed`` so the table matches
     the historical fixed-seed (0x1234) measurements when asked to.
     """
-    policy = spec.param("policy")
-    workload = spec.param("workload")
-    if policy is None or workload is None:
-        raise ValueError("missrate cells need 'policy' and 'workload' params")
-    try:
-        trace = WORKLOAD_BUILDERS[workload]()
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {workload!r}; "
-            f"choose from {sorted(WORKLOAD_BUILDERS)}"
-        ) from None
-    cache = _missrate_cache(spec)
-    cache.set_seed(spec.seed)
-    if _spec_kernel(spec) != "scalar":
-        from repro.kernels.replay import missrate_support, replay_missrate
+    from repro.kernels.replay import missrate_support, replay_missrate
 
-        if missrate_support(cache) is None:
-            accesses, misses = replay_missrate(cache, trace)
-            return MissRatePayload(
-                policy=policy,
-                workload=workload,
-                accesses=accesses,
-                misses=misses,
-                miss_rate=misses / accesses if accesses else 0.0,
-            )
-    for access in trace:
-        cache.access(access)
-    stats = cache.stats
+    cache, trace = _missrate_inputs(spec)
+    if missrate_support(cache) is None:
+        accesses, misses = replay_missrate(cache, trace)
+    else:
+        accesses, misses = _missrate_counts_scalar(cache, trace)
     return MissRatePayload(
-        policy=policy,
-        workload=workload,
-        accesses=stats.accesses,
-        misses=stats.misses,
-        miss_rate=stats.miss_rate,
+        policy=spec.param("policy"),
+        workload=spec.param("workload"),
+        accesses=accesses,
+        misses=misses,
+        miss_rate=misses / accesses if accesses else 0.0,
     )

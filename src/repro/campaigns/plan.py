@@ -2,64 +2,31 @@
 
 Everything a campaign decides *before* executing anything lives here:
 how a cell's budget is cut into shards (honouring the runner's
-:class:`~repro.core.batch.ShardPolicy` while staying compatible with
-legacy two-argument ``plan_shards`` hooks), which execution kernel a
-cell resolves to, and the per-cell :class:`CellPlan` that ``--dry-run``
+:class:`~repro.core.batch.ShardPolicy`), which execution kernel a cell
+resolves to, and the per-cell :class:`CellPlan` that ``--dry-run``
 prints and a distributed dispatcher would enumerate.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.campaigns.cache import ResultCache
-from repro.campaigns.registry import (
-    ExperimentKind,
-    KernelResolution,
-    get_experiment,
-)
+from repro.campaigns.registry import ExperimentKind, get_experiment
 from repro.campaigns.spec import ExperimentSpec
 from repro.core.batch import ShardPlan, ShardPolicy
 
 
-def plan_hook_accepts_policy(hook: Any) -> bool:
-    """Whether a ``plan_shards`` hook takes the policy argument.
-
-    Decided by signature, not by try/except TypeError: a retry-style
-    probe would re-invoke the hook (doubling its work — the bernstein
-    planner builds a whole case study) and mask TypeErrors raised
-    *inside* a modern hook.  Unintrospectable callables are assumed
-    modern.
-    """
-    try:
-        params = list(inspect.signature(hook).parameters.values())
-    except (TypeError, ValueError):
-        return True
-    if any(p.kind is p.VAR_POSITIONAL for p in params):
-        return True
-    positional = [
-        p for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 3
-
-
 def resolved_kernel(
     kind: ExperimentKind, spec: ExperimentSpec
-) -> "Tuple[Optional[str], Optional[str]]":
-    """``(kernel, fallback_reason)`` from the kind's resolver.
-
-    Normalizes the two resolver signatures: a bare kernel name (legacy,
-    no reason travels with it) or a :class:`KernelResolution`.
-    """
+) -> Tuple[Optional[str], Optional[str]]:
+    """``(kernel, fallback_reason)`` from the kind's resolver, or
+    ``(None, None)`` when the kind does not report one."""
     if kind.resolve_kernel is None:
         return None, None
     resolved = kind.resolve_kernel(spec)
-    if isinstance(resolved, KernelResolution):
-        return resolved.kernel, resolved.reason
-    return resolved, None
+    return resolved.kernel, resolved.reason
 
 
 def shard_plan_for(
@@ -73,13 +40,7 @@ def shard_plan_for(
     kind = get_experiment(spec.kind)
     if not kind.shardable or spec.num_samples <= 0:
         return None
-    if plan_hook_accepts_policy(kind.plan_shards):
-        plan = kind.plan_shards(spec, max_shards, policy)
-    else:
-        # A kind registered against the pre-policy two-argument
-        # hook (out-of-tree kinds): it plans its own geometry and
-        # simply cannot honour a shard policy.
-        plan = kind.plan_shards(spec, max_shards)
+    plan = kind.plan_shards(spec, max_shards, policy)
     return plan if len(plan) > 1 else None
 
 
@@ -101,12 +62,12 @@ class CellPlan:
     #: sharded cells; None when the cell runs whole.
     geometry: Optional[str] = None
     #: The execution kernel ("vector"/"scalar") the cell resolves to
-    #: — the kind's ``resolve_kernel`` verdict on the spec's ``kernel``
-    #: hint; None when the kind does not report one.  Informational:
-    #: kernels change throughput, never payloads.
+    #: — the kind's ``resolve_kernel`` verdict; None when the kind
+    #: does not report one.  Informational: kernels change
+    #: throughput, never payloads.
     kernel: Optional[str] = None
-    #: Machine-readable reason a requested/auto vector kernel fell back
-    #: to scalar (None when in-envelope or not reported) — shown in the
+    #: Machine-readable reason the cell falls back to the scalar
+    #: kernel (None when in-envelope or not reported) — shown in the
     #: ``--dry-run`` kernel column and journaled as a
     #: ``kernel_fallback`` event so fallbacks are never silent.
     kernel_reason: Optional[str] = None
@@ -157,16 +118,7 @@ def plan_cells(
                 if kind.stop_rule is not None
                 else "enabled"
             )
-        geometry = None
-        if shard_plan is not None:
-            # A legacy two-argument hook planned its own geometry
-            # — advertising the runner's policy for it would
-            # mislabel the very ranges printed beside it.
-            geometry = (
-                policy.describe()
-                if plan_hook_accepts_policy(kind.plan_shards)
-                else "kind-defined"
-            )
+        geometry = None if shard_plan is None else policy.describe()
         kernel, kernel_reason = resolved_kernel(kind, spec)
         plans.append(CellPlan(
             spec=spec,

@@ -12,7 +12,7 @@ register their own with :func:`register_experiment`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.campaigns.spec import ExperimentSpec
 from repro.core.batch import Shard, ShardPlan, ShardPolicy
@@ -22,10 +22,11 @@ from repro.core.batch import Shard, ShardPlan, ShardPolicy
 class KernelResolution:
     """The kernel a cell will execute on, with the fallback reason.
 
-    ``reason`` is a stable machine-readable string (``None`` unless a
-    requested/auto vector path fell back to scalar) — surfaced in the
-    ``--dry-run`` kernel column and journaled as a ``kernel_fallback``
-    telemetry event so scalar fallbacks are never silent.
+    ``reason`` is a stable machine-readable string, set exactly when
+    the cell falls back to the scalar path (the envelope probe's
+    verdict) — surfaced in the ``--dry-run`` kernel column and
+    journaled as a ``kernel_fallback`` telemetry event so scalar
+    fallbacks are never silent.
     """
 
     kernel: str
@@ -44,9 +45,7 @@ MergeShardsFn = Callable[[ExperimentSpec, Sequence[Any]], Any]
 MergePartialFn = Callable[[ExperimentSpec, Sequence[Any]], Any]
 ShouldStopFn = Callable[[ExperimentSpec, Any], bool]
 StopRuleFn = Callable[[ExperimentSpec], str]
-#: May return a bare kernel name or a :class:`KernelResolution` when a
-#: fallback reason should travel with it.
-ResolveKernelFn = Callable[[ExperimentSpec], Union[str, KernelResolution]]
+ResolveKernelFn = Callable[[ExperimentSpec], KernelResolution]
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,8 @@ class ExperimentKind:
     #: one spec (test kind, thresholds) — surfaced by ``--dry-run``.
     stop_rule: Optional[StopRuleFn] = None
     #: Optional: which execution kernel ("vector"/"scalar") the cell
-    #: will actually run on, after resolving the spec's ``kernel``
-    #: param against the kind's capabilities — surfaced by
-    #: ``--dry-run`` so a mis-resolved "auto" is visible before
+    #: will actually run on, as the kind's envelope probe decides it —
+    #: surfaced by ``--dry-run`` so a fallback is visible before
     #: dispatch.  Purely informational: kernels never change results.
     resolve_kernel: Optional[ResolveKernelFn] = None
 

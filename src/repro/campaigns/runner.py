@@ -20,8 +20,7 @@ its spec (and, for shards, to absolute sample positions) — never from
 shared mutable state.
 
 This module is the *single-campaign facade* over the layered campaign
-engine; the pieces live in focused modules and are re-exported here
-for backward compatibility:
+engine; the pieces live in focused modules:
 
 * :mod:`repro.campaigns.cache` — :class:`ResultCache` (durability:
   whole-cell entries, per-shard partials, early-stop markers, gc with
@@ -74,21 +73,11 @@ from typing import (
     Sequence,
 )
 
-from repro.campaigns.cache import CacheGCStats, ResultCache  # noqa: F401
+from repro.campaigns.cache import ResultCache
 from repro.campaigns.engine import CampaignExecution
-from repro.campaigns.plan import (  # noqa: F401
-    CellPlan,
-    plan_cells,
-    shard_plan_for,
-)
+from repro.campaigns.plan import CellPlan, plan_cells, shard_plan_for
 from repro.campaigns.registry import get_experiment
-from repro.campaigns.results import (  # noqa: F401
-    CampaignResult,
-    CellResult,
-    ProgressEvent,
-    ProgressFn,
-    cell_weight,
-)
+from repro.campaigns.results import CampaignResult, ProgressFn
 from repro.campaigns.spec import ExperimentSpec
 from repro.core.batch import ShardPlan, ShardPolicy
 

@@ -43,18 +43,6 @@ SPEC_SCHEMA_VERSION = 3
 
 ParamItems = Tuple[Tuple[str, Any], ...]
 
-#: Params that select *how* a cell executes, never *what* it computes.
-#: They are excluded from the canonical identity, so neither
-#: :meth:`ExperimentSpec.spec_hash` (result-cache key) nor
-#: :meth:`ExperimentSpec.seed_sequence` (the cell's randomness) can be
-#: perturbed by them — running with ``kernel=vector`` hits the same
-#: cache entries and draws the same streams as the scalar run, which
-#: is exactly the bit-identity contract the kernels are held to.
-#: They still travel in :meth:`ExperimentSpec.to_doc`, so workqueue
-#: workers honour them.
-EXECUTION_PARAMS = frozenset({"kernel"})
-
-
 def _freeze_params(params: Any) -> ParamItems:
     if params is None:
         return ()
@@ -85,6 +73,13 @@ class ExperimentSpec:
         if self.num_samples < 0:
             raise ValueError("num_samples must be non-negative")
         object.__setattr__(self, "params", _freeze_params(self.params))
+        if any(name == "kernel" for name, _ in self.params):
+            # The envelope probe picks the kernel; a leftover hint
+            # would silently become part of the cell's identity.
+            raise ValueError(
+                "the 'kernel' param is not accepted: each cell runs "
+                "the vector kernel inside its envelope, scalar outside"
+            )
 
     # -- params ------------------------------------------------------------
 
@@ -102,20 +97,13 @@ class ExperimentSpec:
     # -- identity ----------------------------------------------------------
 
     def canonical(self, *, include_seed: bool = True) -> Dict[str, Any]:
-        """JSON-able canonical form (sorted params, schema-versioned).
-
-        Execution-hint params (:data:`EXECUTION_PARAMS`) are stripped:
-        they may change throughput but never results, so cells that
-        differ only in them are the *same* cell.
-        """
+        """JSON-able canonical form (sorted params, schema-versioned)."""
         doc: Dict[str, Any] = {
             "schema": SPEC_SCHEMA_VERSION,
             "kind": self.kind,
             "setup": self.setup,
             "num_samples": self.num_samples,
-            "params": [
-                [k, v] for k, v in self.params if k not in EXECUTION_PARAMS
-            ],
+            "params": [[k, v] for k, v in self.params],
         }
         if include_seed:
             doc["seed"] = self.seed

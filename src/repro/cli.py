@@ -31,16 +31,16 @@ Commands
     adaptive geometry (``--shard-policy``; results bit-identical in
     every mode) — and emit a table or JSON.  Progress/ETA lines (with
     shard ranges and, on the work queue, a live worker count) stream
-    to stderr as cells and shards finish; ``--kernel`` selects the
-    trial-execution kernel (``auto``/``vector`` = batched NumPy
-    kernels with scalar fallback, ``scalar`` = the per-trial loop;
-    results bit-identical either way); ``--dry-run`` prints the
-    plan (cells, shard geometry/ranges, resolved kernels, cache-hit
-    status, stopping rules) without executing anything.  ``--early-stop`` lets kinds
-    with a ``should_stop`` hook (the contention attacks' sequential
-    leak test) cancel a cell's remaining shards once its verdict is
-    decided — with ``--shard-policy adaptive`` the verdict lands after
-    the first small shard instead of after ``total/N`` samples;
+    to stderr as cells and shards finish.  Each cell runs the batched
+    NumPy kernels inside their envelope and the scalar loop outside it
+    (results bit-identical either way); ``--dry-run`` prints the plan
+    (cells, shard geometry/ranges, resolved kernels with any fallback
+    reason, cache-hit status, stopping rules) without executing
+    anything.  ``--early-stop`` lets kinds with a ``should_stop`` hook
+    (the contention attacks' sequential leak test) cancel a cell's
+    remaining shards once its verdict is decided — with
+    ``--shard-policy adaptive`` the verdict lands after the first
+    small shard instead of after ``total/N`` samples;
     ``--cache-gc DAYS`` sweeps result-cache entries older than DAYS
     days (and orphaned shard partials) from ``--cache-dir``,
     standalone or before a run.
@@ -300,11 +300,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     specs = build_campaign(
         args.name, num_samples=args.samples, seed=args.seed
     )
-    if args.kernel is not None:
-        # An execution hint, not part of any cell's identity: cache
-        # keys and seed streams are unchanged, so a --kernel run hits
-        # (and produces) the same cached results as any other.
-        specs = [spec.with_params(kernel=args.kernel) for spec in specs]
 
     # Validate the shard geometry and elastic-pool bounds before any
     # backend spawns workers — a bad flag must exit cleanly, not leak
@@ -855,10 +850,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         specs = build_campaign(
             args.name, num_samples=args.samples, seed=args.seed
         )
-        if args.kernel is not None:
-            specs = [
-                spec.with_params(kernel=args.kernel) for spec in specs
-            ]
         if args.shard_policy == "adaptive":
             policy = ShardPolicy.adaptive(
                 min_block=(1024 if args.shard_min_block is None
@@ -1042,18 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(each finishes its lease) once the "
                                "queue drains; replaces the fixed "
                                "--workers pool")
-    campaign.add_argument("--kernel", default=None,
-                          choices=("auto", "vector", "scalar"),
-                          help="trial-execution kernel for every cell: "
-                               "'auto'/'vector' run whole trial blocks "
-                               "through the batched NumPy kernels "
-                               "where the cache model supports it "
-                               "(falling back to the scalar loop "
-                               "otherwise), 'scalar' forces the "
-                               "per-trial loop; results are "
-                               "bit-identical either way — see the "
-                               "kernel column of --dry-run for what "
-                               "each cell resolves to")
     campaign.add_argument("--dry-run", action="store_true",
                           help="print the planned cells, shard ranges, "
                                "resolved kernels and cache-hit status, "
@@ -1237,11 +1216,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default when omitted")
     submit.add_argument("--seed", type=int, default=None,
                         help="campaign root seed")
-    submit.add_argument("--kernel", default=None,
-                        choices=("auto", "vector", "scalar"),
-                        help="trial-execution kernel hint (not part "
-                             "of cell identity; payloads are "
-                             "bit-identical either way)")
     submit.add_argument("--max-shards", type=int, default=1,
                         help="split each shardable cell into up to N "
                              "intra-cell shards")

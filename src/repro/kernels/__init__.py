@@ -20,17 +20,18 @@ of a block as arrays of cache state:
   interference redirection.
 * :mod:`repro.kernels.trials` — whole Prime+Probe / Evict+Time trial
   blocks as a few dozen batched access steps, plus the capability
-  probe behind the ``auto`` kernel choice.
+  probe that picks each cell's kernel.
 * :mod:`repro.kernels.replay` — batched trace replay: run-parallel
   two-level hierarchies for pwcet cells, set-parallel single-cache
   rounds for missrate cells.
 
 Everything a kernel cannot reproduce exactly — an externally-owned
 replacement PRNG, protected ranges, globally-sequenced draws under
-set-parallel replay — falls back to the scalar path (``kernel="auto"``
-semantics) with a machine-readable reason (``--dry-run`` column,
-``kernel_fallback`` telemetry event); results are bit-identical either
-way, only throughput differs.
+set-parallel replay — falls back to the scalar path with a
+machine-readable reason (``--dry-run`` column, ``kernel_fallback``
+telemetry event); results are bit-identical either way, only
+throughput differs.  The scalar paths stay callable as the reference
+the kernels are tested against.
 """
 
 from repro.kernels.cache import VectorCacheBatch, VectorRPCacheBatch

@@ -10,7 +10,7 @@ One place for the three output shapes the toolkit produces:
   records where each process run is delimited by a header, so a file
   that accumulates across many invocations stays legible,
 * streaming campaign progress (:class:`CampaignProgress`) — a
-  :class:`~repro.campaigns.runner.ProgressFn` that prints one
+  :class:`~repro.campaigns.results.ProgressFn` that prints one
   progress/ETA line per completed cell or shard.
 
 The benchmark harness (``benchmarks/reporting.py``) and the campaign
@@ -282,7 +282,7 @@ class CampaignProgress:
 def campaign_totals(specs: Sequence[Any]) -> tuple:
     """(total_cells, total_work) for a spec list — the
     :class:`CampaignProgress` constructor arguments."""
-    from repro.campaigns.runner import cell_weight
+    from repro.campaigns.results import cell_weight
 
     return len(specs), sum(cell_weight(spec) for spec in specs)
 

@@ -6,7 +6,7 @@ builds on.  Everything here is opt-in and observer-only: campaigns
 run with ``telemetry=None`` by default (zero event construction on
 the hot path), and enabling a sink never changes a payload byte —
 phase timings travel in execution-only result-doc metadata, outside
-spec identity, exactly like ``EXECUTION_PARAMS``.
+spec identity.
 """
 
 from repro.telemetry.events import (

@@ -41,7 +41,7 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     # Early stop decided on a merged prefix; decided_at carries the
     # trial count the decision was made at.
     "early_stop": frozenset({"cell", "decided_at", "cancelled"}),
-    # A requested/auto vector kernel resolved to scalar; reason is the
+    # A cell resolved to the scalar kernel; reason is the
     # machine-readable envelope-probe verdict (never a silent fallback).
     "kernel_fallback": frozenset({"cell", "kernel", "reason"}),
     "cell_done": frozenset({"cell", "elapsed"}),

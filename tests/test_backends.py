@@ -34,7 +34,7 @@ from repro.backends.workqueue import (
     ensure_queue_dirs,
 )
 from repro.campaigns import CampaignRunner, ExperimentSpec
-from repro.campaigns.runner import ResultCache
+from repro.campaigns.cache import ResultCache
 from repro.core.batch import Shard, ShardPolicy
 
 
@@ -723,6 +723,22 @@ class TestElasticSupervisor:
         assert len(spawned) == 1
         supervisor.tick()
         assert len(spawned) == 1  # no thrash on an idle queue
+
+    def test_spawns_nothing_while_queue_stopped(self, tmp_path,
+                                                monkeypatch):
+        """Every worker exits on the queue-wide stop sentinel, so
+        spawning toward min_workers under it would only churn."""
+        supervisor, spawned = self._supervisor(
+            tmp_path, monkeypatch, clock=lambda: 0.0
+        )
+        stop = tmp_path / wq.STOP_SENTINEL
+        stop.write_bytes(b"")
+        supervisor.tick()
+        supervisor.tick()
+        assert spawned == []
+        stop.unlink()
+        supervisor.tick()
+        assert len(spawned) == 1
 
     def test_scales_up_with_queue_depth_capped_at_max(self, tmp_path,
                                                       monkeypatch):

@@ -19,7 +19,7 @@ from repro.campaigns import (
     pwcet_grid,
     register_experiment,
 )
-from repro.campaigns.runner import ResultCache
+from repro.campaigns.cache import ResultCache
 from repro.core.simulator import run_all_setups
 
 
@@ -104,38 +104,6 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_experiment("bernstein")(lambda spec: None)
-
-    def test_legacy_two_arg_plan_shards_still_dispatches(self):
-        """Out-of-tree kinds registered against the pre-policy
-        ``plan_shards(spec, max_shards)`` signature keep working —
-        they plan their own geometry and ignore the shard policy."""
-        from repro.core.batch import ShardPlan
-
-        @register_experiment(
-            "_test_legacy_sharded",
-            plan_shards=lambda spec, max_shards: ShardPlan.even(
-                spec.num_samples, max_shards
-            ),
-            run_shard=lambda spec, shard: list(
-                range(shard.start, shard.end)
-            ),
-            merge_shards=lambda spec, parts: [
-                x for part in parts for x in part
-            ],
-        )
-        def _legacy(spec):
-            return list(range(spec.num_samples))
-
-        try:
-            result = CampaignRunner(max_shards_per_cell=3).run([
-                ExperimentSpec(kind="_test_legacy_sharded",
-                               num_samples=9, seed=1)
-            ])
-            assert result.cells[0].num_shards == 3
-            assert result.cells[0].payload == list(range(9))
-        finally:
-            from repro.campaigns import registry
-            del registry._REGISTRY["_test_legacy_sharded"]
 
     def test_custom_kind_roundtrip(self):
         @register_experiment("_test_echo")

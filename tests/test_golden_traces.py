@@ -56,15 +56,6 @@ GOLDEN_SHARD_POLICY = os.environ.get("REPRO_GOLDEN_SHARD_POLICY", "even")
 #: ElasticSupervisor scaling 1..3 workers instead of a fixed pool.
 GOLDEN_ELASTIC = os.environ.get("REPRO_GOLDEN_ELASTIC", "") == "1"
 
-#: With REPRO_GOLDEN_KERNEL set ("vector"/"scalar"/"auto"), every
-#: contention cell runs under that trial-execution kernel — CI's
-#: vector pass is the acceptance proof that the batched NumPy kernels
-#: (:mod:`repro.kernels`) reproduce the frozen trial outcomes bit for
-#: bit on every backend and shard geometry.  The kernel is an
-#: execution hint: spec hashes and seed streams are unchanged, so the
-#: frozen GOLDEN_CONTENTION values apply verbatim.
-GOLDEN_KERNEL = os.environ.get("REPRO_GOLDEN_KERNEL", "")
-
 #: With REPRO_GOLDEN_TELEMETRY=1 every golden campaign run journals
 #: its events to a temp JSONL file, which is schema-validated (and
 #: required to have dropped nothing) after the run — while the frozen
@@ -290,9 +281,10 @@ GOLDEN_CONTENTION = {
 #: Frozen per-run hierarchy latencies of a 6-run pwcet cell (default
 #: trace shape, ``analyse=False``) at root seed 2018 — one cell per
 #: setup, covering the deterministic hierarchies and the random
-#: RM+hashRP ones (per-run reseeding included).  CI's
-#: ``REPRO_GOLDEN_KERNEL=vector`` pass replays these through
-#: :class:`repro.kernels.replay.VectorHierarchyBatch`.
+#: RM+hashRP ones (per-run reseeding included).  Every setup is inside
+#: the envelope of :class:`repro.kernels.replay.VectorHierarchyBatch`,
+#: which replays them; ``tests/test_kernels.py`` replays them again on
+#: the scalar fallback.
 GOLDEN_PWCET = {
     "deterministic": (73856.0,) * 6,
     "rpcache": (73856.0,) * 6,
@@ -303,7 +295,7 @@ GOLDEN_PWCET = {
 #: Frozen (accesses, misses) of missrate cells at root seed 2018 —
 #: spanning placements, set-local replacements, and one random-
 #: replacement cell whose globally-sequenced draws keep it on the
-#: documented scalar fallback even under ``REPRO_GOLDEN_KERNEL=vector``.
+#: documented scalar fallback.
 GOLDEN_MISSRATE = {
     ("modulo", "stride", "lru"): (6144, 6144),
     ("random_modulo", "stride", "lru"): (6144, 6144),
@@ -314,14 +306,8 @@ GOLDEN_MISSRATE = {
 }
 
 
-def _apply_golden_kernel(specs):
-    if GOLDEN_KERNEL:
-        return [spec.with_params(kernel=GOLDEN_KERNEL) for spec in specs]
-    return specs
-
-
 def contention_specs():
-    return _apply_golden_kernel([
+    return [
         ExperimentSpec(
             kind=kind,
             setup=setup,
@@ -329,28 +315,28 @@ def contention_specs():
             seed=2018,
         )
         for (kind, setup), (trials, _) in sorted(GOLDEN_CONTENTION.items())
-    ])
+    ]
 
 
 def pwcet_specs():
-    return _apply_golden_kernel([
+    return [
         ExperimentSpec(
             kind="pwcet", setup=setup, num_samples=6, seed=2018,
             params={"analyse": False},
         )
         for setup in sorted(GOLDEN_PWCET)
-    ])
+    ]
 
 
 def missrate_specs():
-    return _apply_golden_kernel([
+    return [
         ExperimentSpec(
             kind="missrate", seed=2018, num_samples=1,
             params={"policy": policy, "workload": workload,
                     "replacement": replacement},
         )
         for policy, workload, replacement in sorted(GOLDEN_MISSRATE)
-    ])
+    ]
 
 
 def sample_digest(samples) -> str:
@@ -506,11 +492,10 @@ class TestReplayGoldens:
     """The trace-replay kinds under the golden regime: frozen per-run
     pwcet latencies and missrate counters, asserted on the serial path
     and (for the shardable pwcet cells) on CI's selected backend.
-    Under ``REPRO_GOLDEN_KERNEL=vector`` the in-envelope cells run the
-    batched replay kernels (:mod:`repro.kernels.replay`) and must
-    reproduce the same frozen values byte for byte — the random-
-    replacement missrate cell takes the documented scalar fallback
-    either way."""
+    The in-envelope cells run the batched replay kernels
+    (:mod:`repro.kernels.replay`) and must reproduce the frozen values
+    byte for byte — the random-replacement missrate cell takes the
+    documented scalar fallback."""
 
     @pytest.fixture(scope="class")
     def pwcet_serial(self):

@@ -23,14 +23,15 @@ shrink-free generators, as in ``test_cache_properties.py``):
 * the capability probe refuses everything outside the envelope
   (an externally-owned replacement PRNG, consumed draw streams,
   protected ranges, subclasses, wide hashRP lines) with a
-  machine-readable reason, so "auto" can never select an unfaithful
+  machine-readable reason, so a cell can never resolve to an unfaithful
   kernel and a scalar fallback is never silent (``--dry-run`` column,
   ``kernel_fallback`` telemetry event);
 * the trace-replay kernels (pwcet run-parallel hierarchies, missrate
   set-parallel rounds) reproduce the scalar per-access loops exactly;
-* the ``kernel`` param is a pure execution hint — same ``spec_hash``,
-  same seed stream, same campaign payloads — and the frozen golden
-  contention outcomes reproduce with ``kernel=vector``.
+* the envelope probe alone picks each cell's kernel (a ``kernel``
+  spec param is rejected), and with every probe refusing, the golden
+  contention, pwcet and missrate cells reproduce their frozen values
+  on the scalar fallback.
 """
 
 import random
@@ -70,7 +71,14 @@ from test_cache_properties import (
     random_cases,
     stable_seed,
 )
-from test_golden_traces import GOLDEN_CONTENTION, contention_specs
+from test_golden_traces import (
+    GOLDEN_CONTENTION,
+    GOLDEN_MISSRATE,
+    GOLDEN_PWCET,
+    contention_specs,
+    missrate_specs,
+    pwcet_specs,
+)
 
 
 def build_lru_cache(geometry, policy_name):
@@ -380,30 +388,24 @@ class TestTrialBlockEquivalence:
                              ids=["fixed-seeds", "per-trial-seeds"])
     def test_prime_probe_counts_match(self, policy_name, hooked):
         seeder = per_trial_seeder() if hooked else None
-        vec = make_attack(PrimeProbeAttack, policy_name,
-                          num_entries=16, kernel="vector")
-        sca = make_attack(PrimeProbeAttack, policy_name,
-                          num_entries=16, kernel="scalar")
-        assert vec.run_block(0, 48, 48, seeder) \
-            == sca.run_block(0, 48, 48, seeder)
+        attack = make_attack(PrimeProbeAttack, policy_name, num_entries=16)
+        assert attack._run_block_vector(0, 48, seeder) \
+            == attack._run_block_scalar(0, 48, seeder)
 
     @pytest.mark.parametrize("policy_name", PLACEMENTS)
     @pytest.mark.parametrize("hooked", [False, True],
                              ids=["fixed-seeds", "per-trial-seeds"])
     def test_evict_time_counts_match(self, policy_name, hooked):
         seeder = per_trial_seeder() if hooked else None
-        vec = make_attack(EvictTimeAttack, policy_name,
-                          num_entries=8, kernel="vector")
-        sca = make_attack(EvictTimeAttack, policy_name,
-                          num_entries=8, kernel="scalar")
-        assert vec.run_block(0, 12, 12, seeder) \
-            == sca.run_block(0, 12, 12, seeder)
+        attack = make_attack(EvictTimeAttack, policy_name, num_entries=8)
+        assert attack._run_block_vector(0, 12, seeder) \
+            == attack._run_block_scalar(0, 12, seeder)
 
     def test_block_tiling_is_invisible(self):
         """Any block-aligned tiling sums to the whole-block count —
         the property sharded campaigns rely on."""
         attack = make_attack(PrimeProbeAttack, "random_modulo",
-                             num_entries=16, kernel="vector")
+                             num_entries=16)
         seeder = per_trial_seeder()
         whole = attack.run_block(0, 40, 40, seeder).correct
         tiled = sum(
@@ -503,64 +505,78 @@ class TestVectorEnvelope:
     def test_hook_needing_real_cache_falls_back(self):
         """A seed_victim hook that touches more than set_seed pushes
         the block to the scalar path — same counts, via run_trial."""
-        attack = make_attack(PrimeProbeAttack, "modulo",
-                             num_entries=16, kernel="vector")
+        attack = make_attack(PrimeProbeAttack, "modulo", num_entries=16)
 
         def nosy_seeder(cache, trial):
             cache.set_seed(trial, pid=1)
             cache.flush()  # not part of the proxy surface
 
-        scalar = make_attack(PrimeProbeAttack, "modulo",
-                             num_entries=16, kernel="scalar")
         assert attack._run_block_vector(0, 8, nosy_seeder) is None
-        assert attack.run_block(0, 8, 8, nosy_seeder) \
-            == scalar.run_block(0, 8, 8, nosy_seeder)
+        assert attack.run_block(0, 8, 8, nosy_seeder).correct \
+            == attack._run_block_scalar(0, 8, nosy_seeder)
 
 
 class TestKernelSeam:
-    def test_kernel_param_does_not_change_identity(self):
+    def test_kernel_param_rejected(self):
+        """The envelope probe picks the kernel.  A leftover ``kernel``
+        param would silently change the cell's spec_hash and seed
+        stream, so it is refused, also off the wire."""
         base = ExperimentSpec(kind="prime_probe", setup="tscache",
                               num_samples=64, seed=2018)
-        for kernel in ("auto", "vector", "scalar"):
-            spec = base.with_params(kernel=kernel)
-            assert spec.spec_hash() == base.spec_hash()
-            assert (
-                spec.seed_sequence().spawn_key
-                == base.seed_sequence().spawn_key
-            )
-        # ...but it still travels to workqueue workers via the doc.
-        doc = base.with_params(kernel="vector").to_doc()
-        assert ["kernel", "vector"] in doc["params"]
+        with pytest.raises(ValueError, match="'kernel' param"):
+            ExperimentSpec(kind="prime_probe", setup="tscache",
+                           params={"kernel": "vector"})
+        with pytest.raises(ValueError, match="'kernel' param"):
+            base.with_params(kernel="scalar")
+        doc = base.to_doc()
+        doc["params"].append(["kernel", "auto"])
+        with pytest.raises(ValueError, match="'kernel' param"):
+            ExperimentSpec.from_doc(doc)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            PrimeProbeAttack(cache_factory=lambda: None, kernel="simd")
+    def test_golden_cells_on_scalar_fallback(self, monkeypatch):
+        """With all three envelope probes refusing, every golden
+        contention, pwcet and missrate cell runs its scalar reference
+        path, reproduces its frozen values, and journals exactly one
+        kernel_fallback event."""
+        import repro.kernels.replay as replay_mod
+        import repro.kernels.trials as trials_mod
+        from repro.telemetry.sink import RecordingSink
 
-    def test_golden_contention_outcomes_on_vector_kernel(self):
-        """The frozen golden counts reproduce with kernel=vector —
-        serial cells, every setup (vector where the envelope allows,
-        documented scalar fallback elsewhere)."""
-        specs = [
-            spec.with_params(kernel="vector")
-            for spec in contention_specs()
-        ]
-        for cell in CampaignRunner().run(specs):
-            key = (cell.spec.kind, cell.spec.setup)
-            assert (
-                cell.payload.trials, cell.payload.correct
-            ) == GOLDEN_CONTENTION[key]
+        def refuse(_):
+            return "test:probe-refused"
+
+        monkeypatch.setattr(trials_mod, "vector_cache_support", refuse)
+        monkeypatch.setattr(replay_mod, "hierarchy_support", refuse)
+        monkeypatch.setattr(replay_mod, "missrate_support", refuse)
+        specs = contention_specs() + pwcet_specs() + missrate_specs()
+        sink = RecordingSink()
+        for cell in CampaignRunner(telemetry=sink).run(specs):
+            spec, payload = cell.spec, cell.payload
+            if spec.kind == "pwcet":
+                assert np.array_equal(
+                    payload.times, np.array(GOLDEN_PWCET[spec.setup])
+                )
+            elif spec.kind == "missrate":
+                key = (spec.param("policy"), spec.param("workload"),
+                       spec.param("replacement"))
+                assert (payload.accesses, payload.misses) \
+                    == GOLDEN_MISSRATE[key]
+            else:
+                assert (payload.trials, payload.correct) \
+                    == GOLDEN_CONTENTION[(spec.kind, spec.setup)]
+        events = sink.of_type("kernel_fallback")
+        assert sorted(event["cell"] for event in events) \
+            == sorted(spec.cell_id for spec in specs)
+        assert {(event["kernel"], event["reason"]) for event in events} \
+            == {("scalar", "test:probe-refused")}
 
     def test_dry_run_plan_reports_resolved_kernels(self):
         runner = CampaignRunner()
         specs = [
-            ExperimentSpec(kind="prime_probe", setup="deterministic",
-                           num_samples=8, seed=1,
-                           params={"kernel": "vector"}),
-            ExperimentSpec(kind="prime_probe", setup="deterministic",
-                           num_samples=8, seed=1,
-                           params={"kernel": "scalar"}),
             # rpcache, the random setups and the replay kinds are all
-            # in-envelope now: "auto" resolves vector.
+            # in-envelope: every cell resolves vector.
+            ExperimentSpec(kind="prime_probe", setup="deterministic",
+                           num_samples=8, seed=1),
             ExperimentSpec(kind="prime_probe", setup="rpcache",
                            num_samples=8, seed=1),
             ExperimentSpec(kind="prime_probe", setup="mbpta",
@@ -575,8 +591,7 @@ class TestKernelSeam:
         ]
         plans = runner.plan(specs)
         kernels = [plan.kernel for plan in plans]
-        assert kernels == ["vector", "scalar", "vector", "vector",
-                           "vector", "vector", "vector"]
+        assert kernels == ["vector"] * 6
         assert all(plan.kernel_reason is None for plan in plans)
 
     def test_dry_run_plan_reports_fallback_reason(self):
@@ -592,10 +607,6 @@ class TestKernelSeam:
         assert plan.kernel == "scalar"
         assert plan.kernel_reason == \
             "replacement:random-draws-globally-sequenced"
-        # An explicit scalar request is a choice, not a fallback.
-        plan = runner.plan([spec.with_params(kernel="scalar")])[0]
-        assert plan.kernel == "scalar"
-        assert plan.kernel_reason is None
 
     def test_kernel_fallback_event_journaled(self):
         """Scalar fallbacks are never silent: the runner journals one
@@ -625,54 +636,64 @@ class TestKernelSeam:
 
 
 class TestReplayKernels:
-    """The batched trace-replay kernels against the scalar per-access
-    loops, through the public experiment kinds (so seeding, trace
-    construction and payload assembly are the campaign's own)."""
+    """The batched trace-replay kernels, through the public experiment
+    kinds (so seeding, trace construction and payload assembly are the
+    campaign's own), against the kinds' scalar reference loops."""
 
     @pytest.mark.parametrize("setup", ("deterministic", "rpcache",
                                        "mbpta", "tscache"))
     @pytest.mark.parametrize("reseed", [True, False],
                              ids=["reseeding", "fixed-platform"])
     def test_pwcet_times_bit_identical(self, setup, reseed):
-        from repro.campaigns.experiments import run_pwcet
+        from repro.campaigns.experiments import (
+            _pwcet_times_scalar,
+            _pwcet_trace,
+            run_pwcet,
+        )
 
         spec = ExperimentSpec(
             kind="pwcet", setup=setup, num_samples=5, seed=7,
             params={"analyse": False, "reseed": reseed},
         )
-        scalar = run_pwcet(spec.with_params(kernel="scalar")).times
-        vector = run_pwcet(spec.with_params(kernel="vector")).times
+        scalar = _pwcet_times_scalar(spec, _pwcet_trace(spec), 0, 5)
+        vector = run_pwcet(spec).times
         assert scalar.dtype == vector.dtype
         assert np.array_equal(scalar, vector)
 
     @pytest.mark.parametrize("policy", PLACEMENTS)
     @pytest.mark.parametrize("replacement", ("lru", "fifo", "nru", "plru"))
     def test_missrate_counters_bit_identical(self, policy, replacement):
-        from repro.campaigns.experiments import run_missrate
+        from repro.campaigns.experiments import (
+            _missrate_counts_scalar,
+            _missrate_inputs,
+            run_missrate,
+        )
 
         spec = ExperimentSpec(
             kind="missrate", seed=0x1234, num_samples=1,
             params={"policy": policy, "workload": "stride",
                     "replacement": replacement},
         )
-        scalar = run_missrate(spec.with_params(kernel="scalar"))
-        vector = run_missrate(spec.with_params(kernel="vector"))
-        assert (scalar.accesses, scalar.misses, scalar.miss_rate) == \
-            (vector.accesses, vector.misses, vector.miss_rate)
+        vector = run_missrate(spec)
+        assert _missrate_counts_scalar(*_missrate_inputs(spec)) == \
+            (vector.accesses, vector.misses)
 
     def test_missrate_interleaved_sets_bit_identical(self):
         """A reuse workload interleaves sets heavily — the round
         scheduler must preserve in-set access order exactly."""
-        from repro.campaigns.experiments import run_missrate
+        from repro.campaigns.experiments import (
+            _missrate_counts_scalar,
+            _missrate_inputs,
+            run_missrate,
+        )
 
         spec = ExperimentSpec(
             kind="missrate", seed=0x1234, num_samples=1,
             params={"policy": "random_modulo", "workload": "reuse",
                     "replacement": "plru"},
         )
-        scalar = run_missrate(spec.with_params(kernel="scalar"))
-        vector = run_missrate(spec.with_params(kernel="vector"))
-        assert (scalar.accesses, scalar.misses) == \
+        vector = run_missrate(spec)
+        assert _missrate_counts_scalar(*_missrate_inputs(spec)) == \
             (vector.accesses, vector.misses)
 
     def test_hierarchy_support_reasons(self):

@@ -104,7 +104,7 @@ class _FakeClock:
 
 def _event(event="cell", work=100, from_cache=False, elapsed=1.0,
            label="bernstein:tscache"):
-    """Duck-typed stand-in for runner.ProgressEvent."""
+    """Duck-typed stand-in for results.ProgressEvent."""
 
     class E:
         pass
