@@ -2,9 +2,10 @@
 
 Measures the batched NumPy kernels (:mod:`repro.kernels`) against the
 scalar loops on the hot paths — contention-attack trial blocks, trace
-replay (pwcet run batches, missrate set-parallel rounds), the
-Bernstein engine's per-epoch cold-line replay and its fused AES timing
-pass (against the per-block pipeline it replaced) — building each cell
+replay (pwcet (run, set) rounds, missrate set rounds), the missrate
+grid's memoised trace builds, the Bernstein engine's per-epoch
+cold-line replay and its fused AES timing pass (against the per-block
+pipeline it replaced) — building each cell
 exactly the way a campaign does (same specs, same per-trial seed
 hooks, same epoch seed plan).  Every measured pair is also asserted
 bit-identical — a benchmark that drifted from the scalar semantics
@@ -43,6 +44,8 @@ if _REPO_ROOT not in sys.path:
 
 from repro.campaigns import ExperimentSpec
 from repro.campaigns.experiments import (
+    WORKLOAD_BUILDERS,
+    _WORKLOAD_ARRAYS,
     _contention_attack,
     _contention_seeder,
     _missrate_counts_scalar,
@@ -55,7 +58,9 @@ from repro.campaigns.experiments import (
     resolve_missrate_kernel,
     resolve_pwcet_kernel,
     run_missrate,
+    workload_arrays,
 )
+from repro.campaigns.grids import missrate_grid
 from repro.core.batch import (
     NUM_TABLE_LINES,
     AESTimingEngine,
@@ -63,6 +68,7 @@ from repro.core.batch import (
 )
 from repro.core.setups import make_setup
 from repro.crypto.aes import AES128
+from repro.kernels.replay import replay_missrate
 from benchmarks.reporting import emit
 
 DEFAULT_JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_kernels.json")
@@ -88,16 +94,26 @@ SETUPS = (
     ("evict_time", "tscache", (), 96, 2.0),
 )
 
-#: Trace-replay cells: pwcet batches runs of a two-level hierarchy,
-#: missrate replays one cache set-parallel.  Modest floors — replay
-#: speedups scale with the run budget / trace shape, and CI runs the
-#: scaled-down grid.
+#: Trace-replay cells: pwcet replays runs of a two-level hierarchy
+#: ((run, set) rounds, with a lockstep L1 under random replacement),
+#: missrate replays one cache in set rounds.  The 300-run pwcet rows
+#: are the campaign's own budget: ``mbpta`` takes the lockstep L1 plus
+#: L2 rounds, ``deterministic`` rounds at both levels.  Modest floors —
+#: replay speedups scale with the run budget / trace shape.
 REPLAYS = (
     # (kind, setup-or-policy label, params, budget, floor)
     ("pwcet", "tscache", (("analyse", False),), 48, 2.0),
     ("pwcet", "deterministic", (("analyse", False),), 48, 2.0),
+    ("pwcet", "mbpta", (("analyse", False),), 300, 5.0),
+    ("pwcet", "deterministic", (("analyse", False),), 300, 5.0),
     ("missrate", "random_modulo", (("workload", "reuse"),), 1, 1.0),
 )
+
+#: The §6.2.3 grid's trace builds: every cell rebuilding its workload
+#: trace (the reference) against the per-process memo, which builds
+#: each of the grid's workloads once.  Both sides replay with the same
+#: set-round kernel, so the row times the trace builds.
+MISSRATE_TRACE_FLOOR = 1.5
 
 
 #: Bernstein epoch replay: the scalar ``ColdLineModel.epoch_state``
@@ -226,19 +242,55 @@ def _bench_missrate(policy, params, floor, repeats) -> dict:
         params=(("policy", policy),) + params,
     )
     resolved = resolve_missrate_kernel(spec)
+    # One shared trace on both sides: the row times replay only.
+    trace = workload_arrays(spec.param("workload"))
+
+    def fresh_cache():
+        return _missrate_inputs(spec)[0]
+
     scalar_s, (accesses, misses) = _time_fn(
-        lambda: _missrate_counts_scalar(*_missrate_inputs(spec)), repeats
+        lambda: _missrate_counts_scalar(fresh_cache(), trace), repeats
     )
-    vector_s, vector_payload = _time_fn(
-        lambda: run_missrate(spec), repeats
+    vector_s, vector_counts = _time_fn(
+        lambda: replay_missrate(fresh_cache(), trace), repeats
     )
-    if (accesses, misses) != (vector_payload.accesses,
-                              vector_payload.misses):
+    if (accesses, misses) != vector_counts:
         raise AssertionError(
             f"missrate/{policy}: vector replay diverged from scalar"
         )
     return _row("missrate", policy, params, 1, floor, resolved,
                 misses, scalar_s, vector_s)
+
+
+def _bench_missrate_trace(floor, repeats) -> dict:
+    specs = missrate_grid()
+    resolved = resolve_missrate_kernel(specs[0])
+
+    def rebuilt():
+        counts = []
+        for spec in specs:
+            cache = _missrate_inputs(spec)[0]
+            trace = WORKLOAD_BUILDERS[spec.param("workload")]()
+            counts.append(replay_missrate(cache, trace))
+        return counts
+
+    def memoised():
+        _WORKLOAD_ARRAYS.clear()
+        counts = []
+        for spec in specs:
+            payload = run_missrate(spec)
+            counts.append((payload.accesses, payload.misses))
+        return counts
+
+    scalar_s, scalar_counts = _time_fn(rebuilt, repeats)
+    vector_s, vector_counts = _time_fn(memoised, repeats)
+    if scalar_counts != vector_counts:
+        raise AssertionError(
+            "missrate_trace/grid: memoised traces diverged from rebuilt"
+        )
+    return _row("missrate_trace", "grid", (), len(specs), floor, resolved,
+                sum(misses for _, misses in scalar_counts),
+                scalar_s, vector_s)
 
 
 def _bench_epoch_states(setup, samples, floor, repeats) -> dict:
@@ -348,6 +400,7 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
             rows.append(_bench_pwcet(label, params, runs, floor, repeats))
         else:
             rows.append(_bench_missrate(label, params, floor, repeats))
+    rows.append(_bench_missrate_trace(MISSRATE_TRACE_FLOOR, repeats))
     for setup, samples, floor in EPOCH_REPLAYS:
         rows.append(_bench_epoch_states(setup, samples, floor, repeats))
     for setup, samples, floor in AES_TIMINGS:
@@ -364,6 +417,12 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
 #: History entries kept in BENCH_kernels.json — enough to see a
 #: regression trend without the file growing forever.
 HISTORY_LIMIT = 50
+
+
+def _row_label(row: dict) -> str:
+    """``kind/setup`` plus params and budget: unique per grid row."""
+    params = "".join(f" {key}={value}" for key, value in row["params"])
+    return f"{row['kind']}/{row['setup']}{params} ({row['trials']})"
 
 
 def append_history(doc: dict, json_path: str) -> dict:
@@ -386,10 +445,7 @@ def append_history(doc: dict, json_path: str) -> dict:
     history.append({
         "stamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "max_speedup": doc["max_speedup"],
-        "speedups": {
-            f"{row['kind']}/{row['setup']}": row["speedup"]
-            for row in doc["setups"]
-        },
+        "speedups": {_row_label(row): row["speedup"] for row in doc["setups"]},
     })
     doc["history"] = history[-HISTORY_LIMIT:]
     return doc

@@ -427,6 +427,11 @@ class _CoordinatorHTTPServer(ThreadingHTTPServer):
         pass
 
 
+#: Seconds between the serving loop's shutdown checks: how long
+#: :meth:`CoordinatorServer.shutdown` can wait for the loop to notice.
+SERVE_POLL_S = 0.05
+
+
 class CoordinatorServer:
     """One queue directory served over HTTP.
 
@@ -468,13 +473,13 @@ class CoordinatorServer:
     def start(self) -> "CoordinatorServer":
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._httpd.serve_forever, daemon=True
+                target=self.serve_forever, daemon=True
             )
             self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=SERVE_POLL_S)
 
     def shutdown(self) -> None:
         self._httpd.shutdown()

@@ -56,6 +56,7 @@ from repro.campaigns.spec import ExperimentSpec
 from repro.cache.core import ARM920T_L1_GEOMETRY, SetAssociativeCache
 from repro.cache.placement import make_placement
 from repro.cache.replacement import make_replacement
+from repro.common.trace import TraceArrays, trace_arrays
 from repro.core.batch import (
     AESTimingEngine,
     Shard,
@@ -154,7 +155,7 @@ def resolve_pwcet_kernel(spec: ExperimentSpec) -> KernelResolution:
 
 
 def resolve_missrate_kernel(spec: ExperimentSpec) -> KernelResolution:
-    """missrate cells replay set-parallel when the cache's per-set
+    """missrate cells replay in set rounds when the cache's per-set
     state is independent across sets; random replacement's globally
     sequenced draws keep it on the scalar path, with the reason
     recorded."""
@@ -415,12 +416,12 @@ def _pwcet_run_seed(root, run: int) -> int:
 def _pwcet_times_vector(
     spec: ExperimentSpec, trace, start: int, end: int
 ) -> Optional[np.ndarray]:
-    """Run-parallel replay of runs ``[start, end)``, or None outside
-    the vector envelope.
+    """Batched replay of runs ``[start, end)``, or None outside the
+    vector envelope.
 
     Each scalar run builds a *fresh* hierarchy (restarting every
     replacement draw stream), so the batch reproduces it with one
-    seeded lane per run — bit-identical latencies, ``R`` runs wide.
+    seeded run per row — bit-identical latencies, ``R`` runs wide.
     """
     from repro.kernels.replay import VectorHierarchyBatch, hierarchy_support
 
@@ -884,6 +885,29 @@ WORKLOAD_BUILDERS: Dict[str, Callable[[], Any]] = {
 }
 
 
+#: Workload name -> its trace as read-only arrays, filled on first use.
+#: Every builder is fixed by its name, so one build per process serves
+#: every cell of that workload.
+_WORKLOAD_ARRAYS: Dict[str, TraceArrays] = {}
+
+
+def workload_arrays(workload: str) -> TraceArrays:
+    """The :data:`WORKLOAD_BUILDERS` trace of ``workload``, built once
+    per process."""
+    arrays = _WORKLOAD_ARRAYS.get(workload)
+    if arrays is None:
+        try:
+            builder = WORKLOAD_BUILDERS[workload]
+        except KeyError:
+            raise ValueError(
+                f"unknown workload {workload!r}; "
+                f"choose from {sorted(WORKLOAD_BUILDERS)}"
+            ) from None
+        arrays = trace_arrays(builder()).read_only()
+        _WORKLOAD_ARRAYS[workload] = arrays
+    return arrays
+
+
 @dataclass
 class MissRatePayload:
     """One policy x workload cell of the overheads table."""
@@ -924,17 +948,11 @@ def _missrate_cache(spec: ExperimentSpec) -> SetAssociativeCache:
 
 
 def _missrate_inputs(spec: ExperimentSpec):
-    """The cell's seeded cache and its workload trace."""
+    """The cell's seeded cache and its workload's memoised trace arrays."""
     workload = spec.param("workload")
     if spec.param("policy") is None or workload is None:
         raise ValueError("missrate cells need 'policy' and 'workload' params")
-    try:
-        trace = WORKLOAD_BUILDERS[workload]()
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {workload!r}; "
-            f"choose from {sorted(WORKLOAD_BUILDERS)}"
-        ) from None
+    trace = workload_arrays(workload)
     cache = _missrate_cache(spec)
     cache.set_seed(spec.seed)
     return cache, trace
@@ -942,7 +960,7 @@ def _missrate_inputs(spec: ExperimentSpec):
 
 def _missrate_counts_scalar(cache, trace) -> Tuple[int, int]:
     """``(accesses, misses)`` of ``trace`` replayed one access at a
-    time: the fallback outside the set-parallel envelope and the
+    time: the fallback outside the set-round envelope and the
     reference the replay kernel is tested against."""
     for access in trace:
         cache.access(access)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Union
+
+import numpy as np
 
 
 class AccessType(enum.Enum):
@@ -103,3 +105,56 @@ class Trace:
             [MemoryAccess(addr, access_type, 4, pid) for addr in addresses],
             name=name,
         )
+
+
+#: ``kinds`` code -> access type in :class:`TraceArrays` (enum order).
+_KIND_TYPES = tuple(AccessType)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_TYPES)}
+
+
+@dataclass(frozen=True)
+class TraceArrays:
+    """A trace as parallel arrays: what the batched replay kernels read.
+
+    ``addresses`` and ``pids`` are int64, ``kinds`` int8 codes of the
+    :class:`AccessType` members in enum order.  Iterating yields the
+    :class:`MemoryAccess` records back (access size 4, which no cache
+    model reads), so a scalar cache replays the arrays unchanged.
+    """
+
+    addresses: np.ndarray
+    pids: np.ndarray
+    kinds: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.addresses.size)
+
+    def __iter__(self) -> Iterator[MemoryAccess]:
+        for address, kind, pid in zip(
+            self.addresses.tolist(), self.kinds.tolist(), self.pids.tolist()
+        ):
+            yield MemoryAccess(address, _KIND_TYPES[kind], 4, pid)
+
+    @property
+    def is_ifetch(self) -> np.ndarray:
+        return self.kinds == _KIND_CODES[AccessType.IFETCH]
+
+    def read_only(self) -> "TraceArrays":
+        """Mark the arrays ``writeable=False`` and return ``self``."""
+        for array in (self.addresses, self.pids, self.kinds):
+            array.flags.writeable = False
+        return self
+
+
+def trace_arrays(trace: Union[Trace, TraceArrays]) -> TraceArrays:
+    """The arrays of ``trace`` (a :class:`TraceArrays` passes through)."""
+    if isinstance(trace, TraceArrays):
+        return trace
+    accesses = list(trace)
+    return TraceArrays(
+        addresses=np.array([a.address for a in accesses], dtype=np.int64),
+        pids=np.array([a.pid for a in accesses], dtype=np.int64),
+        kinds=np.array(
+            [_KIND_CODES[a.access_type] for a in accesses], dtype=np.int8
+        ),
+    )

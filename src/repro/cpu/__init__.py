@@ -1,12 +1,9 @@
-"""Processor timing model: a 5-stage in-order pipeline cost model and
-the trace-driven processor wrapper (ARM920T-like, paper §6.1.2)."""
+"""Processor timing model: a 5-stage in-order pipeline cost model
+(ARM920T-like, paper §6.1.2)."""
 
 from repro.cpu.pipeline import InOrderPipeline, PipelineConfig
-from repro.cpu.processor import Processor, arm920t_processor
 
 __all__ = [
     "InOrderPipeline",
     "PipelineConfig",
-    "Processor",
-    "arm920t_processor",
 ]

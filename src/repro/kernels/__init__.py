@@ -21,13 +21,14 @@ of a block as arrays of cache state:
 * :mod:`repro.kernels.trials` — whole Prime+Probe / Evict+Time trial
   blocks as a few dozen batched access steps, plus the capability
   probe that picks each cell's kernel.
-* :mod:`repro.kernels.replay` — batched trace replay: run-parallel
-  two-level hierarchies for pwcet cells, set-parallel single-cache
-  rounds for missrate cells.
+* :mod:`repro.kernels.replay` — batched trace replay: ``(run, set)``
+  rounds (lockstep under random replacement) through two-level
+  hierarchies for pwcet cells, single-cache set rounds for missrate
+  cells.
 
 Everything a kernel cannot reproduce exactly — an externally-owned
 replacement PRNG, protected ranges, globally-sequenced draws under
-set-parallel replay — falls back to the scalar path with a
+set rounds — falls back to the scalar path with a
 machine-readable reason (``--dry-run`` column, ``kernel_fallback``
 telemetry event); results are bit-identical either way, only
 throughput differs.  The scalar paths stay callable as the reference

@@ -53,6 +53,51 @@ from repro.kernels.replacement import (
 _M64 = mask(64)
 
 
+class VectorSeedRegister:
+    """Scalar :class:`~repro.cache.core.SeedRegister` semantics for
+    ``num_trials`` caches: one global seed per trial plus per-pid
+    overrides, resolved at lookup time."""
+
+    def __init__(self, num_trials: int) -> None:
+        self.num_trials = num_trials
+        self._global_seed = np.zeros(num_trials, dtype=np.uint64)
+        #: pid -> (values, set_mask); unset entries fall back to the
+        #: trial's global seed at lookup time.
+        self._pid_seeds: Dict[int, tuple] = {}
+
+    def init(self, register: SeedRegister) -> None:
+        """Give every trial the register state of a fresh scalar cache."""
+        self._global_seed[:] = np.uint64(register.global_seed & _M64)
+        self._pid_seeds.clear()
+        for pid, seed in register.per_pid.items():
+            values = np.full(self.num_trials, np.uint64(seed & _M64))
+            self._pid_seeds[pid] = (values, np.ones(self.num_trials, bool))
+
+    def set_seed(self, trial: int, seed: int, pid: Optional[int] = None) -> None:
+        """Scalar ``cache.set_seed`` for one trial."""
+        if pid is None:
+            self._global_seed[trial] = np.uint64(seed & _M64)
+            return
+        entry = self._pid_seeds.get(pid)
+        if entry is None:
+            entry = (
+                np.zeros(self.num_trials, dtype=np.uint64),
+                np.zeros(self.num_trials, dtype=bool),
+            )
+            self._pid_seeds[pid] = entry
+        values, set_mask = entry
+        values[trial] = np.uint64(seed & _M64)
+        set_mask[trial] = True
+
+    def seeds_for(self, pid: int) -> np.ndarray:
+        """Per-trial effective seed of ``pid`` (uint64, shape (T,))."""
+        entry = self._pid_seeds.get(pid)
+        if entry is None:
+            return self._global_seed
+        values, set_mask = entry
+        return np.where(set_mask, values, self._global_seed)
+
+
 class VectorCacheBatch:
     """``num_trials`` independent caches stepped in lock-step."""
 
@@ -83,44 +128,21 @@ class VectorCacheBatch:
             else VectorLRU(num_trials, geometry.num_sets, geometry.num_ways)
         )
         self._rows = np.arange(num_trials)
-        self._global_seed = np.zeros(num_trials, dtype=np.uint64)
-        #: pid -> (values, set_mask); unset entries fall back to the
-        #: trial's global seed at lookup time (SeedRegister semantics).
-        self._pid_seeds: Dict[int, tuple] = {}
+        self.seeds = VectorSeedRegister(num_trials)
 
     # -- seed register -----------------------------------------------------
 
     def init_seeds(self, register: SeedRegister) -> None:
         """Give every trial the register state of a fresh scalar cache."""
-        self._global_seed[:] = np.uint64(register.global_seed & _M64)
-        self._pid_seeds.clear()
-        for pid, seed in register.per_pid.items():
-            values = np.full(self.num_trials, np.uint64(seed & _M64))
-            self._pid_seeds[pid] = (values, np.ones(self.num_trials, bool))
+        self.seeds.init(register)
 
     def set_seed(self, trial: int, seed: int, pid: Optional[int] = None) -> None:
         """Scalar ``cache.set_seed`` for one trial of the batch."""
-        if pid is None:
-            self._global_seed[trial] = np.uint64(seed & _M64)
-            return
-        entry = self._pid_seeds.get(pid)
-        if entry is None:
-            entry = (
-                np.zeros(self.num_trials, dtype=np.uint64),
-                np.zeros(self.num_trials, dtype=bool),
-            )
-            self._pid_seeds[pid] = entry
-        values, set_mask = entry
-        values[trial] = np.uint64(seed & _M64)
-        set_mask[trial] = True
+        self.seeds.set_seed(trial, seed, pid)
 
     def seeds_for(self, pid: int) -> np.ndarray:
         """Per-trial effective seed of ``pid`` (uint64, shape (T,))."""
-        entry = self._pid_seeds.get(pid)
-        if entry is None:
-            return self._global_seed
-        values, set_mask = entry
-        return np.where(set_mask, values, self._global_seed)
+        return self.seeds.seeds_for(pid)
 
     # -- address math ------------------------------------------------------
 

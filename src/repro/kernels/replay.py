@@ -1,31 +1,42 @@
 """Batched trace replay for the pwcet and missrate experiment kinds.
 
-Two replay shapes, both bit-identical to the scalar per-access loops:
+Three replay shapes, all bit-identical to the scalar per-access loops.
+The pwcet cells run the *same* trace through ``R`` independently
+seeded two-level hierarchies (one per MBPTA run); the missrate cells
+run one trace through one cache.  Each shape is chosen per cache level
+by its replacement policy:
 
-**Run-parallel hierarchy replay** (:class:`VectorHierarchyBatch`) —
-pwcet cells run the *same* trace through ``R`` independently-seeded
-two-level hierarchies (one per MBPTA run).  The batch keeps one
-:class:`~repro.kernels.cache.VectorCacheBatch` per level (l1i/l1d/l2),
-precomputes every access's set index under every run's seed, and steps
-all runs in lock-step: the L2 is stepped with the L1 miss mask as its
-``active`` set, so only the runs that actually missed in L1 touch L2
-state — the exact scalar access path, ``R`` runs wide.  Random
-replacement is in-envelope because every scalar run builds a fresh
-hierarchy, restarting the same fixed draw stream (a shared table +
-per-run counters reproduces it; see
+**Lockstep** — every run advances by one access per step (at the L2,
+only the runs that missed in L1).  Random replacement needs it: a
+run's scalar cache consumes one draw per conflict miss in *global
+access order*, whichever set it falls in, so each run's draws are
+sequenced across sets and no per-set reordering keeps them.  The
+setups' random L1s (mbpta, tscache) therefore stay lockstep.  Random
+replacement is still in-envelope for the hierarchy: every scalar run
+builds a fresh hierarchy, restarting the same fixed draw stream, which
+a shared table plus per-run counters reproduces (see
 :mod:`repro.kernels.replacement`).
 
-**Set-parallel single-cache replay** (:func:`replay_missrate`) —
-missrate cells run one trace through one cache.  There is no run axis
-to batch over, but with a fixed seed the access→set mapping is static,
-so accesses can be partitioned by set up front and replayed in rounds:
-round ``r`` performs the ``r``-th access of every set at once.  Within
-a set the original order is preserved and sets share no state, so
-hits/misses are exactly the scalar ones.  Random replacement is *not*
-in-envelope here — its draws are sequenced globally across sets, which
-set-parallel rounds cannot reproduce — and the support probe says so
-(``replacement:random-draws-globally-sequenced``), falling back to
-scalar.
+**(run, set) rounds** — under a set-local policy (LRU, FIFO, NRU,
+PLRU) each run's cache sets are independent state machines, and with
+the run seeds fixed the access→set mapping is static.  So the
+``(run, access)`` elements of one level split into ``(run, set)``
+lanes, and round ``r`` performs the ``r``-th access of every lane at
+once: within a lane the access order is kept, lanes share no state, so
+every hit and miss is the scalar one.  The L1 (l1i and l1d, separate
+lanes) is replayed first; the L2 is then replayed over the L1-miss
+elements only — exactly the stream the scalar L2 sees.  Runs go in
+blocks of a fixed element budget, which bounds the per-block index,
+sort and lane-state arrays whatever the run budget.
+
+**Set rounds** (:func:`replay_missrate`) — the same rounds with one
+run: one cache, its accesses partitioned by set.  Random replacement
+is out of its envelope for the lockstep reason above, and the support
+probe says so (``replacement:random-draws-globally-sequenced``),
+falling back to scalar.
+
+Whatever the shapes, a run's latency over ``A`` accesses is
+``A·l1_hit + l1_misses·l2_hit + l2_misses·memory``.
 
 The ``*_support`` probes return ``None`` (in-envelope) or a
 machine-readable reason string, surfaced by ``--dry-run`` and the
@@ -34,7 +45,7 @@ machine-readable reason string, surfaced by ``--dry-run`` and the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,15 +59,27 @@ from repro.cache.replacement import (
     RandomReplacement,
     TreePLRUReplacement,
 )
-from repro.common.trace import AccessType
-from repro.kernels.cache import VectorCacheBatch
+from repro.common.trace import TraceArrays, trace_arrays
+from repro.kernels.cache import VectorSeedRegister
 from repro.kernels.placement import vector_placement
-from repro.kernels.replacement import vector_replacement_by_name
+from repro.kernels.replacement import (
+    VectorReplacement,
+    vector_replacement_by_name,
+)
+
+#: Replacement names whose per-set state is independent across sets:
+#: the levels that replay in rounds.
+_SET_LOCAL_NAMES = ("lru", "fifo", "nru", "plru")
 
 #: Replacement names the hierarchy replay can reproduce.  ``random`` is
 #: included: each scalar run's fresh hierarchy restarts the stock draw
 #: stream, which the vector engine replays from a shared table.
-_HIERARCHY_REPLACEMENTS = ("lru", "fifo", "nru", "plru", "random")
+_HIERARCHY_REPLACEMENTS = _SET_LOCAL_NAMES + ("random",)
+
+#: Most ``(run, access)`` elements one block of a rounds replay holds.
+#: Fixed, not a knob: it trades a few extra rounds per block for a
+#: bounded working set (the pwcet process's peak RSS).
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def hierarchy_support(config: HierarchyConfig) -> Optional[str]:
@@ -78,38 +101,178 @@ def hierarchy_support(config: HierarchyConfig) -> Optional[str]:
     return None
 
 
+def _address_fields(layout, addresses: np.ndarray):
+    """``(lines, tags, indices)`` of int64 addresses under ``layout``."""
+    lines = addresses & ~np.int64((1 << layout.offset_bits) - 1)
+    u = addresses.astype(np.uint64)
+    indices = (u >> np.uint64(layout.offset_bits)) & np.uint64(
+        (1 << layout.index_bits) - 1
+    )
+    tags = u >> np.uint64(layout.offset_bits + layout.index_bits)
+    return lines, tags, indices
+
+
+class _Lanes:
+    """Fresh state of ``num_lanes`` independent cache sets, one per lane.
+
+    ``lines`` is ``(ways, lanes)``, so every way gathers contiguously;
+    ``-1`` marks an empty way.  Nothing is ever invalidated here, so a
+    lane's filled ways are a prefix of way order: ``filled`` is both
+    their count and the first invalid way, which a scalar fill claims
+    before it asks the replacement policy.  ``engine`` holds the
+    replacement state, addressed by each lane's ``(row, set)``.
+    """
+
+    def __init__(self, engine: VectorReplacement, num_lanes: int) -> None:
+        self.engine = engine
+        self.num_ways = engine.num_ways
+        self.lines = np.full((self.num_ways, num_lanes), -1, dtype=np.int64)
+        self.filled = np.zeros(num_lanes, dtype=np.int64)
+        self._way_ids = np.arange(self.num_ways)[:, None]
+
+    def step(self, lanes, lines, rows, sets) -> np.ndarray:
+        """One access on each of distinct ``lanes``; the hit mask."""
+        engine = self.engine
+        match = np.take(self.lines, lanes, axis=1) == lines
+        hit = np.logical_or.reduce(match, axis=0)
+        hits = np.flatnonzero(hit)
+        if hits.size:
+            # A line is resident at most once per set, so the hit way
+            # is the one matching way.
+            ways = (match[:, hits] * self._way_ids).sum(axis=0)
+            engine.touch_hits(rows[hits], sets[hits], ways)
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            fills = lanes[miss]
+            ways = self.filled[fills]
+            conflict = ways == self.num_ways
+            if conflict.any():
+                victims = miss[conflict]
+                ways[conflict] = engine.victim_ways(rows[victims],
+                                                    sets[victims])
+            self.filled[fills[~conflict]] += 1
+            self.lines[ways, fills] = lines[miss]
+            engine.touch_fills(rows[miss], sets[miss], ways)
+        return hit
+
+
+def _replay_rounds(replacement_name: str, num_ways: int, keys: np.ndarray,
+                   lines: np.ndarray) -> np.ndarray:
+    """Hit mask of accesses to fresh sets named by ``keys``, in rounds.
+
+    Each distinct key is one lane (a ``(run, set)`` pair, or a set);
+    the accesses come in each lane's access order.  A stable partition
+    by lane, then by rank within the lane, makes round ``r`` the
+    ``r``-th access of every lane.  Only the lanes that occur get
+    state.
+    """
+    total = keys.size
+    if total == 0:
+        return np.zeros(0, dtype=bool)
+    by_lane = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_lane]
+    first = np.ones(total, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    position = np.arange(total)
+    lanes = np.empty(total, dtype=np.int64)
+    lanes[by_lane] = np.cumsum(first) - 1
+    ranks = np.empty(total, dtype=np.int64)
+    ranks[by_lane] = position - np.maximum.accumulate(
+        np.where(first, position, 0)
+    )
+    order = np.argsort(ranks, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ranks)))).tolist()
+    num_lanes = int(lanes[by_lane[-1]]) + 1
+    state = _Lanes(
+        vector_replacement_by_name(replacement_name, num_lanes, 1, num_ways),
+        num_lanes,
+    )
+    lanes, lines = lanes[order], lines[order]
+    zeros = np.zeros(total, dtype=np.int64)
+    hit = np.empty(total, dtype=bool)
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        lane = lanes[start:end]
+        hit[order[start:end]] = state.step(lane, lines[start:end], lane,
+                                           zeros[start:end])
+    return hit
+
+
 class _LevelBatch:
-    """One cache level of the hierarchy batch, over ``R`` runs."""
+    """One cache level of the hierarchy batch, over ``R`` runs.
+
+    A set-local level replays in ``(run, set)`` rounds, one block of
+    runs at a time, with state for the block's lanes only.  A random
+    level replays in lockstep over every run's ``(run, set)`` lanes.
+    """
 
     def __init__(self, geometry, placement_name: str, replacement_name: str,
                  num_runs: int) -> None:
-        placement = make_placement(placement_name, geometry.layout())
-        self.batch = VectorCacheBatch(
-            geometry,
-            vector_placement(placement),
-            num_runs,
-            replacement=vector_replacement_by_name(
-                replacement_name, num_runs, geometry.num_sets,
-                geometry.num_ways,
-            ),
+        self.geometry = geometry
+        self.layout = geometry.layout()
+        self.placement = vector_placement(
+            make_placement(placement_name, self.layout)
         )
-        layout = geometry.layout()
-        self._offset_mask = np.int64((1 << layout.offset_bits) - 1)
+        self.replacement_name = replacement_name
+        self.rounds = replacement_name in _SET_LOCAL_NAMES
+        self.seeds = VectorSeedRegister(num_runs)
 
-    def lines_of(self, addresses: np.ndarray) -> np.ndarray:
-        return addresses & ~self._offset_mask
+    def sets_of(self, trace: TraceArrays, runs, accesses) -> np.ndarray:
+        """Set of each ``(run, access)`` pair under the run's seed for
+        the access's pid (``runs`` and ``accesses`` broadcast)."""
+        _, tags, indices = _address_fields(self.layout, trace.addresses)
+        pids = np.unique(trace.pids).tolist()
+        if len(pids) == 1:
+            seeds = self.seeds.seeds_for(pids[0])[runs]
+        else:
+            runs, accesses = np.broadcast_arrays(runs, accesses)
+            access_pids = trace.pids[accesses]
+            seeds = np.empty(runs.shape, dtype=np.uint64)
+            for pid in pids:
+                mine = access_pids == pid
+                seeds[mine] = self.seeds.seeds_for(pid)[runs[mine]]
+        return self.placement.map_sets(tags[accesses], indices[accesses],
+                                       seeds)
 
-    def precompute_sets(self, addresses: np.ndarray,
-                        pids: np.ndarray) -> Dict[int, np.ndarray]:
-        """``pid -> (R, A)`` set matrix for every access address."""
-        return {
-            int(pid): self.batch.map_sets(addresses, int(pid))
-            for pid in np.unique(pids)
-        }
+    def replay(self, trace: TraceArrays, active: np.ndarray) -> np.ndarray:
+        """Hit mask of the ``active`` ``(run, access)`` elements
+        (inactive elements read False)."""
+        hits = np.zeros(active.shape, dtype=bool)
+        lines, _, _ = _address_fields(self.layout, trace.addresses)
+        num_runs, length = active.shape
+        num_sets, num_ways = self.geometry.num_sets, self.geometry.num_ways
+        if self.rounds:
+            block = max(1, _BLOCK_ELEMENTS // length)
+            for lo in range(0, num_runs, block):
+                runs, accesses = np.nonzero(active[lo:lo + block])
+                runs += lo
+                sets = self.sets_of(trace, runs, accesses)
+                hits[runs, accesses] = _replay_rounds(
+                    self.replacement_name, num_ways,
+                    runs * num_sets + sets, lines[accesses],
+                )
+            return hits
+        state = _Lanes(
+            vector_replacement_by_name(
+                self.replacement_name, num_runs, num_sets, num_ways
+            ),
+            num_runs * num_sets,
+        )
+        steps = np.flatnonzero(active.any(axis=0))
+        runs = np.arange(num_runs)
+        # (steps, R): one contiguous row of sets per lockstep access.
+        sets = self.sets_of(trace, runs[None, :], steps[:, None])
+        for step, a in enumerate(steps.tolist()):
+            mine = np.flatnonzero(active[:, a])
+            step_sets = sets[step, mine]
+            hits[mine, a] = state.step(
+                mine * num_sets + step_sets, np.full(mine.size, lines[a]),
+                mine, step_sets,
+            )
+        return hits
 
 
 class VectorHierarchyBatch:
-    """``num_runs`` independent two-level hierarchies in lock-step.
+    """``num_runs`` independent two-level hierarchies, replayed together.
 
     Reproduces :class:`repro.cache.hierarchy.CacheHierarchy` exactly:
     IFETCH accesses go to l1i, the rest to l1d; L2 is consulted only on
@@ -140,58 +303,34 @@ class VectorHierarchyBatch:
                   pid: Optional[int] = None) -> None:
         """Scalar ``hierarchy.set_seeds`` for one run of the batch."""
         for level in (self.l1i, self.l1d, self.l2):
-            level.batch.set_seed(run, seed, pid)
+            level.seeds.set_seed(run, seed, pid)
 
     def run_trace(self, trace) -> np.ndarray:
         """Total memory latency of ``trace`` per run (``(R,)`` int64).
 
-        Call after all per-run seeds are set: the access→set mapping is
-        precomputed once per (level, pid) under the final seeds.
+        ``trace`` is a :class:`~repro.common.trace.Trace` or its
+        :class:`~repro.common.trace.TraceArrays`.  Call after all
+        per-run seeds are set: the access→set mapping is computed under
+        the final seeds.
         """
-        accesses = list(trace)
+        arrays = trace_arrays(trace)
         lat = self.config.latencies
         times = np.zeros(self.num_runs, dtype=np.int64)
-        if not accesses:
+        if not len(arrays):
             return times
-        addresses = np.array([a.address for a in accesses], dtype=np.int64)
-        pids = np.array([a.pid for a in accesses], dtype=np.int64)
-        is_ifetch = np.array(
-            [a.access_type is AccessType.IFETCH for a in accesses],
-            dtype=bool,
-        )
-        l1_sets = {
-            True: self.l1i.precompute_sets(addresses, pids),
-            False: self.l1d.precompute_sets(addresses, pids),
-        }
-        l2_sets = self.l2.precompute_sets(addresses, pids)
-        l1_lines = self.l1i.lines_of(addresses)
-        l2_lines = self.l2.lines_of(addresses)
-        full = np.full  # the per-step line broadcast
-        for a in range(len(accesses)):
-            pid = int(pids[a])
-            ifetch = bool(is_ifetch[a])
-            level = self.l1i if ifetch else self.l1d
-            l1_hit = level.batch.access_mapped(
-                full(self.num_runs, l1_lines[a]),
-                l1_sets[ifetch][pid][:, a],
-                pid,
-            )
-            times += lat.l1_hit
-            l1_miss = ~l1_hit
-            if l1_miss.any():
-                l2_hit = self.l2.batch.access_mapped(
-                    full(self.num_runs, l2_lines[a]),
-                    l2_sets[pid][:, a],
-                    pid,
-                    active=l1_miss,
-                )
-                times[l1_miss] += lat.l2_hit
-                times[l1_miss & ~l2_hit] += lat.memory
+        shape = (self.num_runs, len(arrays))
+        ifetch = np.broadcast_to(arrays.is_ifetch, shape)
+        l1_miss = ~(self.l1i.replay(arrays, ifetch)
+                    | self.l1d.replay(arrays, ~ifetch))
+        l2_miss = l1_miss & ~self.l2.replay(arrays, l1_miss)
+        times += len(arrays) * lat.l1_hit
+        times += l1_miss.sum(axis=1) * lat.l2_hit
+        times += l2_miss.sum(axis=1) * lat.memory
         return times
 
 
 #: Replacement classes whose per-set state is independent across sets,
-#: which is what set-parallel rounds require.
+#: which is what set rounds require.
 _SET_LOCAL_REPLACEMENTS = (
     LRUReplacement,
     FIFOReplacement,
@@ -201,7 +340,7 @@ _SET_LOCAL_REPLACEMENTS = (
 
 
 def missrate_support(cache) -> Optional[str]:
-    """``None`` when a cache can take the set-parallel replay, else why."""
+    """``None`` when a cache can take the set-round replay, else why."""
     if type(cache) is not SetAssociativeCache:
         return f"cache:subclass-{type(cache).__name__}"
     if not cache.write_allocate:
@@ -224,75 +363,23 @@ def missrate_support(cache) -> Optional[str]:
 def replay_missrate(cache, trace) -> Tuple[int, int]:
     """``(accesses, misses)`` of replaying ``trace`` through ``cache``.
 
-    ``cache`` must be factory-fresh, seeded, and inside
-    :func:`missrate_support`'s envelope.  The cache object itself is
-    only read (geometry, placement, seeds) — its scalar state is left
-    untouched.
+    ``trace`` is a :class:`~repro.common.trace.Trace` or its
+    :class:`~repro.common.trace.TraceArrays`.  ``cache`` must be
+    factory-fresh, seeded, and inside :func:`missrate_support`'s
+    envelope.  The cache object itself is only read (geometry,
+    placement, seeds) — its scalar state is left untouched.
     """
-    accesses = list(trace)
-    total = len(accesses)
+    arrays = trace_arrays(trace)
+    total = len(arrays)
     if total == 0:
         return 0, 0
     geometry = cache.geometry
-    layout = geometry.layout()
-    num_sets, num_ways = geometry.num_sets, geometry.num_ways
-    addresses = np.array([a.address for a in accesses], dtype=np.int64)
-    pids = np.array([a.pid for a in accesses], dtype=np.int64)
-    offset_mask = np.int64((1 << layout.offset_bits) - 1)
-    lines = addresses & ~offset_mask
-    u = addresses.astype(np.uint64)
-    indices = (u >> np.uint64(layout.offset_bits)) & np.uint64(
-        (1 << layout.index_bits) - 1
-    )
-    tags = u >> np.uint64(layout.offset_bits + layout.index_bits)
+    lines, tags, indices = _address_fields(geometry.layout(),
+                                           arrays.addresses)
     seeds = np.empty(total, dtype=np.uint64)
-    for pid in np.unique(pids):
-        seeds[pids == pid] = np.uint64(cache.seeds.seed_for(int(pid)))
+    for pid in np.unique(arrays.pids).tolist():
+        seeds[arrays.pids == pid] = np.uint64(cache.seeds.seed_for(pid))
     sets = vector_placement(cache.placement).map_sets(tags, indices, seeds)
-
-    # Stable partition by set, then by within-set rank: round r performs
-    # the r-th access of every set at once, in-set order preserved.
-    by_set = np.argsort(sets, kind="stable")
-    counts = np.bincount(sets, minlength=num_sets)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    ranks = np.empty(total, dtype=np.int64)
-    ranks[by_set] = np.arange(total) - starts[sets[by_set]]
-    by_round = np.argsort(ranks, kind="stable")  # keeps set order per round
-    round_sets = sets[by_round]
-    round_lines = lines[by_round]
-    round_counts = np.bincount(ranks[by_round])
-    bounds = np.concatenate(([0], np.cumsum(round_counts)))
-
-    # One engine lane per set: (E=num_sets, S=1, W) state.
-    engine = vector_replacement_by_name(
-        cache.replacement.name, num_sets, 1, num_ways
-    )
-    valid = np.zeros((num_sets, num_ways), dtype=bool)
-    resident = np.zeros((num_sets, num_ways), dtype=np.int64)
-    hits = 0
-    for r in range(len(round_counts)):
-        lane = round_sets[bounds[r]:bounds[r + 1]]
-        line = round_lines[bounds[r]:bounds[r + 1]]
-        zero = np.zeros(lane.shape, dtype=np.int64)
-        lane_valid = valid[lane]
-        match = lane_valid & (resident[lane] == line[:, None])
-        hit = match.any(axis=1)
-        hits += int(np.count_nonzero(hit))
-        if hit.any():
-            engine.touch_hits(
-                lane[hit], zero[hit], np.argmax(match, axis=1)[hit]
-            )
-        miss = ~hit
-        if miss.any():
-            ml = lane[miss]
-            invalid = ~valid[ml]
-            ways = np.argmax(invalid, axis=1)
-            conflict = ~invalid.any(axis=1)
-            if conflict.any():
-                ways[conflict] = engine.victim_ways(
-                    ml[conflict], np.zeros_like(ml[conflict])
-                )
-            valid[ml, ways] = True
-            resident[ml, ways] = line[miss]
-            engine.touch_fills(ml, np.zeros_like(ml), ways)
-    return total, total - hits
+    hits = _replay_rounds(cache.replacement.name, geometry.num_ways, sets,
+                          lines)
+    return total, total - int(np.count_nonzero(hits))

@@ -1,12 +1,8 @@
-"""Tests for the pipeline cost model and the trace-driven processor."""
+"""Tests for the pipeline cost model."""
 
 import pytest
 
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.cache.core import CacheGeometry
-from repro.common.trace import Trace
 from repro.cpu.pipeline import InOrderPipeline, PipelineConfig
-from repro.cpu.processor import Processor, arm920t_processor
 
 
 class TestPipelineConfig:
@@ -74,65 +70,3 @@ class TestPipeline:
             pipeline.execute(-1)
         with pytest.raises(ValueError):
             pipeline.memory_stall(-1)
-
-
-class TestProcessor:
-    def small_processor(self):
-        config = HierarchyConfig(
-            l1_geometry=CacheGeometry(2048, 4, 32),
-            l2_geometry=CacheGeometry(8192, 4, 32),
-        )
-        return Processor(CacheHierarchy(config), compute_per_access=2)
-
-    def test_run_counts_cycles(self):
-        processor = self.small_processor()
-        trace = Trace.from_addresses([0x1000, 0x1000])
-        result = processor.run(trace)
-        lat = processor.hierarchy.config.latencies
-        miss = lat.l1_hit + lat.l2_hit + lat.memory
-        # Per access: 2 compute + memory instruction exposing latency.
-        expected = (2 + miss) + (2 + lat.l1_hit)
-        assert result.cycles == pytest.approx(expected)
-        assert result.memory_cycles == miss + lat.l1_hit
-
-    def test_cache_state_persists_across_runs(self):
-        processor = self.small_processor()
-        trace = Trace.from_addresses([0x1000])
-        cold = processor.run(trace).cycles
-        warm = processor.run(trace).cycles
-        assert warm < cold
-
-    def test_flush_restores_cold_time(self):
-        processor = self.small_processor()
-        trace = Trace.from_addresses([0x1000])
-        cold = processor.run(trace).cycles
-        processor.run(trace)
-        processor.flush_caches()
-        assert processor.run(trace).cycles == pytest.approx(cold)
-
-    def test_context_switch_drains(self):
-        processor = self.small_processor()
-        assert processor.context_switch() == 5
-
-    def test_compute_per_access_validated(self):
-        with pytest.raises(ValueError):
-            Processor(compute_per_access=-1)
-
-
-class TestARM920TFactory:
-    def test_default_geometry(self):
-        processor = arm920t_processor()
-        assert processor.hierarchy.l1d.geometry.total_size == 16 * 1024
-        assert processor.hierarchy.l2.geometry.total_size == 256 * 1024
-
-    def test_randomized_variant(self):
-        processor = arm920t_processor(
-            l1_placement="random_modulo", l2_placement="hashrp"
-        )
-        assert processor.hierarchy.l1d.placement.name == "random_modulo"
-        assert processor.hierarchy.l2.placement.name == "hashrp"
-
-    def test_seed_propagation(self):
-        processor = arm920t_processor(l1_placement="random_modulo")
-        processor.set_seeds(42, pid=1)
-        assert processor.hierarchy.l1d.seeds.seed_for(1) == 42

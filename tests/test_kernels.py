@@ -26,8 +26,9 @@ shrink-free generators, as in ``test_cache_properties.py``):
   machine-readable reason, so a cell can never resolve to an unfaithful
   kernel and a scalar fallback is never silent (``--dry-run`` column,
   ``kernel_fallback`` telemetry event);
-* the trace-replay kernels (pwcet run-parallel hierarchies, missrate
-  set-parallel rounds) reproduce the scalar per-access loops exactly;
+* the trace-replay kernels (pwcet (run, set) rounds with a lockstep
+  random L1, missrate set rounds) reproduce the scalar per-access loops
+  exactly, and the missrate workload traces are built once per process;
 * the envelope probe alone picks each cell's kernel (a ``kernel``
   spec param is rejected), and with every probe refusing, the golden
   contention, pwcet and missrate cells reproduce their frozen values
@@ -635,6 +636,53 @@ class TestKernelSeam:
         assert EVENT_SCHEMA["kernel_fallback"] <= set(events[0])
 
 
+class TestWorkloadMemo:
+    """Each missrate workload trace is built once per process and
+    shared read-only by every cell of that workload."""
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        from repro.campaigns import experiments
+
+        monkeypatch.setattr(experiments, "_WORKLOAD_ARRAYS", {})
+        return experiments
+
+    def test_arrays_are_read_only(self, fresh_memo):
+        arrays = fresh_memo.workload_arrays("random")
+        for array in (arrays.addresses, arrays.pids, arrays.kinds):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_arrays_equal_a_fresh_build(self, fresh_memo):
+        from repro.common.trace import trace_arrays
+
+        for name, builder in fresh_memo.WORKLOAD_BUILDERS.items():
+            memo = fresh_memo.workload_arrays(name)
+            fresh = trace_arrays(builder())
+            for field in ("addresses", "pids", "kinds"):
+                assert np.array_equal(getattr(memo, field),
+                                      getattr(fresh, field)), (name, field)
+            assert fresh_memo.workload_arrays(name) is memo
+
+    def test_grid_builds_each_workload_once(self, fresh_memo, monkeypatch):
+        from repro.campaigns import build_campaign
+
+        calls = {}
+        for name, builder in list(fresh_memo.WORKLOAD_BUILDERS.items()):
+            def counted(name=name, builder=builder):
+                calls[name] = calls.get(name, 0) + 1
+                return builder()
+
+            monkeypatch.setitem(fresh_memo.WORKLOAD_BUILDERS, name, counted)
+        specs = build_campaign("missrates")
+        assert len(specs) == 16
+        cells = CampaignRunner().run(specs)
+        assert len(cells) == 16
+        workloads = {spec.param("workload") for spec in specs}
+        assert calls == {name: 1 for name in workloads}
+
+
 class TestReplayKernels:
     """The batched trace-replay kernels, through the public experiment
     kinds (so seeding, trace construction and payload assembly are the
@@ -695,6 +743,131 @@ class TestReplayKernels:
         vector = run_missrate(spec)
         assert _missrate_counts_scalar(*_missrate_inputs(spec)) == \
             (vector.accesses, vector.misses)
+
+    @staticmethod
+    def _rounds_and_scalar(spec, trace, start, end):
+        from repro.campaigns.experiments import (
+            _pwcet_times_scalar,
+            _pwcet_times_vector,
+        )
+
+        return (_pwcet_times_vector(spec, trace, start, end),
+                _pwcet_times_scalar(spec, trace, start, end))
+
+    @staticmethod
+    def _mixed_trace():
+        """IFETCH and data accesses under pids 0 and 1.
+
+        Each pattern re-hits a line ``x`` in L1 between fills of four
+        lines that share its L1 and modulo-L2 set, then evicts it from
+        L1 only.  Its last access misses L2 only if the L2 never saw
+        the L1 hits, so an L2 fed every access reads a different time.
+        """
+        from repro.common.trace import AccessType, Trace
+
+        trace = Trace(name="mixed")
+        patterns = (
+            (0x0010_0000, AccessType.LOAD, 0),
+            (0x0020_0040, AccessType.IFETCH, 1),
+            (0x0030_0080, AccessType.STORE, 1),
+            (0x0040_00C0, AccessType.IFETCH, 0),
+        )
+        for x, kind, pid in patterns:
+            def touch(address):
+                trace.append(MemoryAccess(address, kind, 4, pid))
+
+            for k in range(1, 5):
+                touch(x)
+                touch(x + k * 0x10000)  # same L1 and modulo-L2 set
+            for j in range(1, 5):
+                touch(x + j * 0x1000)  # same L1 set, other L2 sets
+            touch(x)
+        return trace
+
+    def test_rounds_match_scalar_on_every_setup(self):
+        """Lockstep random L1 (mbpta, tscache) or L1 rounds
+        (deterministic, rpcache), then L2 rounds over the L1 misses,
+        at 32 runs."""
+        from repro.campaigns.experiments import _pwcet_trace
+
+        for setup in ("deterministic", "rpcache", "mbpta", "tscache"):
+            spec = ExperimentSpec(kind="pwcet", setup=setup,
+                                  num_samples=32, seed=31,
+                                  params={"analyse": False})
+            rounds, scalar = self._rounds_and_scalar(
+                spec, _pwcet_trace(spec), 0, 32
+            )
+            assert np.array_equal(rounds, scalar), setup
+
+    def test_fixed_platform_matches_scalar(self):
+        """``reseed=False``: every run keeps the reset seeds."""
+        for setup in ("deterministic", "rpcache", "mbpta", "tscache"):
+            spec = ExperimentSpec(kind="pwcet", setup=setup,
+                                  num_samples=8, seed=31,
+                                  params={"analyse": False,
+                                          "reseed": False})
+            rounds, scalar = self._rounds_and_scalar(
+                spec, self._mixed_trace(), 0, 8
+            )
+            assert np.array_equal(rounds, scalar), setup
+
+    def test_shard_split_matches_whole_budget(self):
+        from repro.campaigns.experiments import _pwcet_trace
+
+        spec = ExperimentSpec(kind="pwcet", setup="mbpta", num_samples=32,
+                              seed=31, params={"analyse": False})
+        trace = _pwcet_trace(spec)
+        head, _ = self._rounds_and_scalar(spec, trace, 0, 13)
+        tail, _ = self._rounds_and_scalar(spec, trace, 13, 32)
+        whole, scalar = self._rounds_and_scalar(spec, trace, 0, 32)
+        assert np.array_equal(np.concatenate([head, tail]), whole)
+        assert np.array_equal(whole, scalar)
+
+    def test_mixed_kinds_and_pids_match_scalar(self):
+        for setup in ("deterministic", "rpcache", "mbpta", "tscache"):
+            spec = ExperimentSpec(kind="pwcet", setup=setup,
+                                  num_samples=8, seed=31,
+                                  params={"analyse": False})
+            rounds, scalar = self._rounds_and_scalar(
+                spec, self._mixed_trace(), 0, 8
+            )
+            assert np.array_equal(rounds, scalar), setup
+
+    def test_per_pid_seeds_match_scalar(self):
+        """Runs with a pid-1 seed override map each pid under its own
+        seed, at every level."""
+        from repro.cache.hierarchy import CacheHierarchy
+        from repro.core.setups import setup_hierarchy_config
+        from repro.kernels import VectorHierarchyBatch
+
+        trace = self._mixed_trace()
+        for setup in ("deterministic", "tscache"):
+            config = setup_hierarchy_config(setup)
+            batch = VectorHierarchyBatch(config, 6)
+            scalar = []
+            for run in range(6):
+                batch.set_seeds(run, 1000 + run)
+                batch.set_seeds(run, 77 * run + 5, pid=1)
+                hierarchy = CacheHierarchy(config)
+                hierarchy.set_seeds(1000 + run)
+                hierarchy.set_seeds(77 * run + 5, pid=1)
+                scalar.append(hierarchy.run_trace(trace))
+            assert batch.run_trace(trace).tolist() == scalar, setup
+
+    def test_replay_reads_trace_arrays(self):
+        """A Trace and its TraceArrays replay identically."""
+        from repro.common.trace import trace_arrays
+        from repro.core.setups import setup_hierarchy_config
+        from repro.kernels import VectorHierarchyBatch
+
+        trace = self._mixed_trace()
+        times = []
+        for replayed in (trace, trace_arrays(trace)):
+            batch = VectorHierarchyBatch(setup_hierarchy_config("mbpta"), 4)
+            for run in range(4):
+                batch.set_seeds(run, run + 1)
+            times.append(batch.run_trace(replayed))
+        assert np.array_equal(*times)
 
     def test_hierarchy_support_reasons(self):
         import dataclasses

@@ -77,3 +77,36 @@ class TestTrace:
     def test_from_addresses_pid(self):
         trace = Trace.from_addresses([0x40], pid=9)
         assert trace[0].pid == 9
+
+
+class TestTraceArrays:
+    def test_round_trip(self):
+        from repro.common.trace import trace_arrays
+
+        trace = Trace()
+        trace.load(0x100)
+        trace.store(0x200, pid=3)
+        trace.fetch(0x300, pid=1)
+        arrays = trace_arrays(trace)
+        assert arrays.addresses.tolist() == [0x100, 0x200, 0x300]
+        assert arrays.pids.tolist() == [0, 3, 1]
+        assert arrays.is_ifetch.tolist() == [False, False, True]
+        assert len(arrays) == 3
+        assert list(arrays) == list(trace)
+        assert trace_arrays(arrays) is arrays
+
+    def test_empty_trace(self):
+        from repro.common.trace import trace_arrays
+
+        arrays = trace_arrays(Trace())
+        assert len(arrays) == 0
+        assert list(arrays) == []
+
+    def test_read_only(self):
+        from repro.common.trace import trace_arrays
+
+        trace = Trace()
+        trace.load(0x100)
+        arrays = trace_arrays(trace).read_only()
+        with pytest.raises(ValueError):
+            arrays.addresses[0] = 0
