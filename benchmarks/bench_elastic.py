@@ -26,10 +26,9 @@ import time
 
 import pytest
 
-# Worker subprocesses resolve this module by name (kind_module in the
-# task doc), so the repo root must survive the PYTHONPATH propagation
-# to them — the '' (cwd) entry `python -m pytest` leaves in sys.path
-# does not.
+# Workers resolve this module by name (kind_module in the task doc),
+# and `benchmarks.reporting` below needs the repo root too, whatever
+# the working directory.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
@@ -44,8 +43,8 @@ from repro.campaigns import (
 from benchmarks.reporting import emit
 
 #: Seconds of simulated work per sample (sleep, not compute).  Large
-#: enough that the elastic win clears worker-startup cost (each spawn
-#: pays a Python+NumPy import) with margin.
+#: enough that the elastic win clears worker-startup cost with
+#: margin.
 UNIT_SECONDS = 0.25
 
 #: The uneven grid: per-cell budgets in samples.  One big cell up

@@ -761,8 +761,8 @@ class HttpQueueBackend(QueueBackend):
     there; ``retry_timeout`` bounds how long any one API call keeps
     retrying an unreachable coordinator (the ride-through budget for
     a coordinator crash/restart), ``client`` replaces the default
-    :class:`CoordinatorClient`, and ``spawn_workers`` starts local
-    ``repro worker --coordinator`` subprocesses as a convenience
+    :class:`CoordinatorClient`, and ``spawn_workers`` forks local
+    ``repro worker --coordinator`` workers as a convenience
     (their logs in a temporary directory removed by :meth:`close`).
     """
 

@@ -45,19 +45,24 @@ produces bit-identical bytes.
 worker writes an error result and the dispatcher raises it, because a
 deterministic unit that failed once will fail again.
 
-Workers are started with ``repro worker --queue DIR`` (see
-:func:`worker_loop`), spawned by the dispatcher itself
-(``spawn_workers=N``) or scaled with queue pressure by an
-:class:`ElasticSupervisor`.  Every local spawn goes through
-:func:`_spawn_worker_process` with the store's :attr:`worker_args`.
+External workers, on this host or any host sharing the directory,
+are started with ``repro worker --queue DIR`` (see
+:func:`worker_loop`).  Local workers are spawned by the
+dispatcher itself (``spawn_workers=N``) or scaled with queue pressure
+by an :class:`ElasticSupervisor`; every local spawn goes through
+:func:`_spawn_worker_process`, which forks the already-imported
+dispatcher to run ``repro worker`` with the store's
+:attr:`worker_args`.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
 import pickle
+import signal
 import socket
 import subprocess
 import sys
@@ -67,6 +72,7 @@ import traceback
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -808,7 +814,7 @@ def worker_loop(
 # -- elastic worker supervision ----------------------------------------------
 
 
-def _stop_proc(proc: subprocess.Popen, deadline: float) -> None:
+def _stop_proc(proc: _ForkedWorker, deadline: float) -> None:
     """Wait for a worker process until ``deadline`` (monotonic), then
     escalate terminate → kill.  The one stop ladder every teardown
     path shares."""
@@ -866,41 +872,142 @@ def _cleanup_worker_files(queue_dir: str, worker_id: str) -> None:
             pass
 
 
+class _ForkedWorker:
+    """Handle on one forked local worker, shaped like the slice of
+    Popen the pools use: ``pid``, ``returncode`` (from
+    ``os.waitpid``), :meth:`poll`, :meth:`wait`, :meth:`terminate`
+    and :meth:`kill`."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        # The supervisor loop and the dispatcher thread both poll.
+        self._lock = threading.Lock()
+
+    def _try_wait(self, flags: int) -> Optional[int]:
+        with self._lock:
+            if self.returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, flags)
+                except ChildProcessError:
+                    # Reaped elsewhere (SIGCHLD ignored): Popen's rule.
+                    pid, status = self.pid, 0
+                if pid == self.pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def poll(self) -> Optional[int]:
+        return self._try_wait(os.WNOHANG)
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """Block until exit; raise :class:`subprocess.TimeoutExpired`
+        after ``timeout`` seconds, as Popen does."""
+        if timeout is None:
+            return self._try_wait(0)
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(
+                    f"worker pid {self.pid}", timeout
+                )
+            time.sleep(min(delay, remaining))
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _run_forked_worker(
+    main: Callable[[List[str]], int], argv: List[str], log_fd: int
+) -> None:
+    """The whole life of a forked worker; it leaves only through
+    ``os._exit``, so no atexit handler, journal buffer or stdout
+    buffer of the parent runs twice."""
+    # Referenced until exit and never flushed: their buffered text is
+    # the parent's, and a parent thread may have held their locks at
+    # the fork.
+    inherited = (sys.stdout, sys.stderr)
+    status = 1
+    try:
+        # Pre-fork objects are never collected here, so no inherited
+        # file object's finaliser can close a descriptor number this
+        # process has since reused.
+        gc.freeze()
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        sys.stdout = open(1, "w", buffering=1, closefd=False)
+        sys.stderr = open(
+            2, "w", buffering=1, errors="backslashreplace", closefd=False
+        )
+        # Every other inherited descriptor goes (a coordinator's
+        # listening socket included), as with Popen's close_fds.
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        status = main(argv)
+    except SystemExit as exc:
+        status = (
+            exc.code if isinstance(exc.code, int)
+            else int(exc.code is not None)
+        )
+    except BaseException:
+        if sys.stderr is not inherited[1]:
+            traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            if stream not in inherited:
+                try:
+                    stream.flush()
+                except Exception:
+                    pass
+        os._exit(status)
+
+
 def _spawn_worker_process(
     worker_args: Tuple[str, ...],
     worker_id: str,
     poll_interval: float,
     log_dir: str,
-) -> "tuple[subprocess.Popen, str]":
-    """Start one local ``repro worker <worker_args>`` subprocess — the
-    one spawn path of the fixed and the elastic pools alike.
+) -> "tuple[_ForkedWorker, str]":
+    """Start one local worker — the one spawn path of the fixed and
+    the elastic pools alike.
 
-    Returns ``(process, log path)``; the worker's stdout/stderr land in
+    The worker is a fork of this already-imported process running
+    ``repro worker <worker_args>`` through :func:`repro.cli.main`, so
+    it skips the interpreter start and the imports a cold ``python -m
+    repro worker`` pays before its first claim.  Returns ``(handle,
+    log path)``; the worker's stdout/stderr land in
     ``<log_dir>/<id>.log`` for post-mortem diagnostics.
     """
+    from repro.cli import main
+
     os.makedirs(log_dir, exist_ok=True)
     log_path = os.path.join(log_dir, worker_id + ".log")
-    env = dict(os.environ)
-    # Guarantee the child resolves `repro` exactly as we do, even when
-    # the package is importable only via sys.path mutations (pytest
-    # rootdir conftest, PYTHONPATH=src invocations).
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    log = open(log_path, "ab")
+    argv = [
+        "worker", *worker_args,
+        "--worker-id", worker_id,
+        "--poll", str(poll_interval),
+    ]
+    log_fd = os.open(
+        log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666
+    )
     try:
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                *worker_args,
-                "--worker-id", worker_id,
-                "--poll", str(poll_interval),
-            ],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            env=env,
-        )
+        pid = os.fork()
+        if pid == 0:
+            _run_forked_worker(main, argv, log_fd)
     finally:
-        log.close()  # the child holds its own handle
-    return proc, log_path
+        os.close(log_fd)  # the child holds its own copy
+    return _ForkedWorker(pid), log_path
 
 
 @dataclass
@@ -913,7 +1020,7 @@ class ElasticStats:
 
 
 class ElasticSupervisor:
-    """Scales local ``repro worker`` processes with queue pressure.
+    """Scales local forked worker processes with queue pressure.
 
     A fixed worker pool wastes one of two ways: too few workers leave
     pending units queueing behind a long tail, too many burn idle
@@ -941,10 +1048,13 @@ class ElasticSupervisor:
       churn.
 
     Each observation is one :func:`queue_dir_status` snapshot.  The
-    pool's workers run ``repro worker <worker_args>`` — by default
-    ``--queue <queue_dir>``; ``repro coordinator`` passes
-    ``--coordinator URL`` so they join through the HTTP front door —
-    with their logs in ``<queue_dir>/workers``.
+    pool's workers are forks of this process (see
+    :func:`_spawn_worker_process`) running ``repro worker
+    <worker_args>`` — by default ``--queue <queue_dir>``; ``repro
+    coordinator`` passes ``--coordinator URL`` so they join through
+    the HTTP front door — with their logs in ``<queue_dir>/workers``.
+    The supervisor forks from its own thread, which is why the
+    children never touch the streams they inherit.
 
     Run it on a background thread (:meth:`start`/:meth:`shutdown`,
     what :class:`WorkQueueBackend` does) or drive :meth:`tick`
@@ -1010,8 +1120,8 @@ class ElasticSupervisor:
         self._tick_failing_since: Optional[float] = None
         self.tick_failure_grace = 30.0
         self.last_error: Optional[str] = None
-        self._procs: Dict[str, subprocess.Popen] = {}
-        self._retiring: Dict[str, subprocess.Popen] = {}
+        self._procs: Dict[str, _ForkedWorker] = {}
+        self._retiring: Dict[str, _ForkedWorker] = {}
         self._log_paths: Dict[str, str] = {}
         self._seq = 0
         self._surplus_since: Optional[float] = None
@@ -1210,9 +1320,9 @@ class ElasticSupervisor:
           campaign);
         * **scaling itself broken** — tick() failing continuously for
           ``tick_failure_grace`` seconds (spawn raising: fork
-          pressure, unwritable ``workers/``, broken interpreter
-          path), which produces no processes and therefore no
-          abnormal exits; the stored traceback is the diagnosis.  A
+          pressure, unwritable ``workers/``), which produces no
+          processes and therefore no abnormal exits; the stored
+          traceback is the diagnosis.  A
           transient filesystem blip spanning a few ticks stays below
           the grace and is tolerated, matching the heartbeat's
           own forgive-transients rule.
@@ -1361,7 +1471,7 @@ class QueueBackend(ExecutionBackend):
         self._attempts: Dict[str, int] = {}
         #: Cancelled unit ids whose straggler results must be swept.
         self._cancelled_ids: Set[str] = set()
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[_ForkedWorker] = []
         self._log_paths: List[str] = []
         #: Where the spawned pool runs (fleet-stats key).
         self._host = _host_label()

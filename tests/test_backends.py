@@ -11,6 +11,11 @@ interrupted and resumed from persisted shard partials.
 import json
 import os
 import pickle
+import signal
+import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -33,7 +38,7 @@ from repro.backends.workqueue import (
     WORKERS_DIR,
     ensure_queue_dirs,
 )
-from repro.campaigns import CampaignRunner, ExperimentSpec
+from repro.campaigns import CampaignRunner, ExperimentSpec, contention_grid
 from repro.campaigns.cache import ResultCache
 from repro.core.batch import Shard, ShardPolicy
 
@@ -207,7 +212,7 @@ class TestWorkQueueDispatch:
             assert os.listdir(tmp_path / sub) == []
 
     def test_spawned_workers_bit_identical(self, tmp_path):
-        """The acceptance path: real ``repro worker`` subprocesses
+        """The acceptance path: real forked worker processes
         serve sharded units; the merged payload matches serial."""
         spec = timing_spec(num_samples=2048)
         serial = CampaignRunner(max_shards_per_cell=2).run([spec])
@@ -669,7 +674,7 @@ class TestCancelLeasedUnits:
 
 
 class _FakeProc:
-    """Stand-in subprocess for deterministic supervisor tests."""
+    """Stand-in worker process for deterministic supervisor tests."""
 
     def __init__(self):
         self.returncode = None
@@ -691,7 +696,7 @@ class _FakeProc:
 
 class TestElasticSupervisor:
     """Deterministic (tick-driven, fake-process) tests of the scaling
-    policy; the real-subprocess path is covered by
+    policy; the real-process path is covered by
     TestElasticEndToEnd."""
 
     def _supervisor(self, tmp_path, monkeypatch, clock, **kwargs):
@@ -983,7 +988,7 @@ class TestWorkerRetirementSentinel:
 
 
 class TestElasticEndToEnd:
-    """Real ``repro worker`` subprocesses under the supervisor: an
+    """Real forked worker processes under the supervisor: an
     elastic pool serves a sharded campaign bit-identically and leaves
     a clean queue behind."""
 
@@ -1015,6 +1020,144 @@ class TestElasticEndToEnd:
         )
         for sub in (TASKS_DIR, LEASES_DIR, RESULTS_DIR):
             assert os.listdir(tmp_path / sub) == []
+
+
+def _spawn_idle_worker(queue_dir):
+    """Fork one local worker on ``queue_dir`` and wait until it
+    serves, i.e. until its fork-time set-up is complete."""
+    ensure_queue_dirs(queue_dir)
+    proc, log_path = wq._spawn_worker_process(
+        ("--queue", queue_dir), "w", 0.05,
+        os.path.join(queue_dir, WORKERS_DIR),
+    )
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        with open(log_path) as handle:
+            if "serving" in handle.read():
+                return proc
+        assert proc.poll() is None, "worker exited before serving"
+        time.sleep(0.01)
+    proc.kill()
+    proc.wait()
+    raise AssertionError("forked worker never started serving")
+
+
+def _env_with_sys_path():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return env
+
+
+class TestForkedWorkerHygiene:
+    """Local workers are forks of the dispatcher: they must not share
+    its buffered output, its descriptors or its signal handlers."""
+
+    def test_unflushed_parent_stdout_appears_once(self, tmp_path):
+        """Text sitting in the dispatcher's stdout buffer at the fork
+        is the dispatcher's alone: the worker neither flushes it nor
+        writes it again at exit."""
+        queue = str(tmp_path / "q")
+        script = textwrap.dedent("""
+            import os
+            import sys
+            from repro.backends import workqueue as wq
+            queue = sys.argv[1]
+            wq.ensure_queue_dirs(queue)
+            sys.stdout.write("unflushed-marker\\n")
+            assert os.fstat(1).st_size == 0, "stdout must be buffered"
+            proc, _ = wq._spawn_worker_process(
+                ("--queue", queue, "--max-idle", "0.2"), "w", 0.05,
+                queue + "/workers",
+            )
+            sys.exit(proc.wait(timeout=60))
+        """)
+        env = _env_with_sys_path()
+        env.pop("PYTHONUNBUFFERED", None)
+        out_path = tmp_path / "out.txt"
+        with open(out_path, "w") as out:
+            subprocess.run(
+                [sys.executable, "-c", script, queue], stdout=out,
+                env=env, timeout=120, check=True,
+            )
+        log = (tmp_path / "q" / WORKERS_DIR / "w.log").read_text()
+        assert "exiting after 0 unit(s)" in log
+        assert out_path.read_text() == "unflushed-marker\n"
+        assert "unflushed-marker" not in log
+
+    def test_worker_does_not_hold_parent_listening_socket(self, tmp_path):
+        """A worker forked by ``repro coordinator`` must not keep the
+        coordinator's port: closing and rebinding it while the worker
+        lives succeeds."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        port = listener.getsockname()[1]
+        proc = _spawn_idle_worker(str(tmp_path))
+        try:
+            listener.close()
+            again = socket.socket()
+            try:
+                again.bind(("127.0.0.1", port))
+                again.listen()
+            finally:
+                again.close()
+            assert proc.poll() is None
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def test_terminate_stops_idle_worker_without_kill(self, tmp_path):
+        """SIGTERM is back at its default in the child even when the
+        dispatcher ignores it, so the stop ladder's terminate step
+        suffices for an idle worker."""
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            proc = _spawn_idle_worker(str(tmp_path))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        killed = []
+        real_kill = proc.kill
+        proc.kill = lambda: killed.append(True) or real_kill()
+        wq._stop_proc(proc, deadline=time.monotonic())
+        assert killed == []
+        assert proc.returncode == -signal.SIGTERM
+
+
+class TestColdCliWorker:
+    """Workers on other hosts start cold with ``python -m repro
+    worker``: that entry point serves a campaign bit-identically."""
+
+    def test_cli_worker_matches_serial(self, tmp_path):
+        specs = contention_grid(
+            num_samples=32, setups=("deterministic", "tscache")
+        )
+        serial = CampaignRunner(max_shards_per_cell=2).run(specs)
+        queue = str(tmp_path / "q")
+        backend = WorkQueueBackend(queue, lease_timeout=60, idle_timeout=120)
+        worker = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "worker", "--queue", queue,
+                "--max-idle", "60", "--poll", "0.05", "--quiet",
+            ],
+            env=_env_with_sys_path(),
+        )
+        try:
+            queued = CampaignRunner(
+                max_shards_per_cell=2, backend=backend
+            ).run(specs)
+        finally:
+            backend.store.set_stop(True)
+            backend.close()
+            try:
+                status = worker.wait(timeout=60)
+            finally:
+                worker.kill()
+        assert status == 0
+        assert [c.spec.spec_hash() for c in queued.cells] == \
+            [c.spec.spec_hash() for c in serial.cells]
+        for ours, reference in zip(queued.cells, serial.cells):
+            assert pickle.dumps(ours.payload) == \
+                pickle.dumps(reference.payload)
 
 
 class TestDurableShardPartials:

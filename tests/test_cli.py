@@ -274,7 +274,7 @@ class TestCommands:
     def test_campaign_workqueue_backend_end_to_end(self, capsys,
                                                    tmp_path):
         """`repro campaign --backend workqueue` matches the serial
-        table through real worker subprocesses."""
+        table through real worker processes."""
         base = ["campaign", "pwcet", "--samples", "40", "--json",
                 "--quiet"]
         assert main(base) == 0

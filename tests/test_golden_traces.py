@@ -19,7 +19,7 @@ CI re-runs this module with ``REPRO_GOLDEN_WORKERS=2`` so the
 process-pool path is exercised with real workers, and with
 ``REPRO_GOLDEN_BACKEND=workqueue`` to drive the campaign goldens
 through a :class:`~repro.backends.workqueue.WorkQueueBackend` served
-by real ``repro worker`` subprocesses — proving cross-process
+by real forked worker processes — proving cross-process
 work-queue dispatch is bit-identical too.
 """
 
@@ -42,9 +42,9 @@ GOLDEN_WORKERS = int(os.environ.get("REPRO_GOLDEN_WORKERS", "1"))
 
 #: Execution backend for the campaign-path goldens: "local" (serial /
 #: process pool from GOLDEN_WORKERS), "workqueue" (filesystem queue
-#: + spawned ``repro worker`` subprocesses), or "http" (a
-#: CoordinatorServer + spawned ``repro worker --coordinator``
-#: subprocesses — no shared-filesystem assumption).
+#: + spawned worker processes), or "http" (a CoordinatorServer +
+#: spawned ``repro worker --coordinator`` processes — no
+#: shared-filesystem assumption).
 GOLDEN_BACKEND = os.environ.get("REPRO_GOLDEN_BACKEND", "local")
 
 #: Shard geometry for the campaign-path goldens: "even" (default) or
@@ -214,7 +214,7 @@ def golden_runner(**kwargs):
             # The campaign goldens through a real HTTP coordinator: an
             # in-process CoordinatorServer over a temp queue directory,
             # drained by spawned ``repro worker --coordinator``
-            # subprocesses — CI's proof that the network transport
+            # processes — CI's proof that the network transport
             # cannot perturb a single frozen byte.
             from repro.backends import CoordinatorServer, HttpQueueBackend
 
@@ -460,7 +460,7 @@ class TestContentionGoldens:
     """The contention kinds under the same regime: frozen per-cell
     trial outcomes, asserted for the serial path and for a sharded run
     on whichever backend CI selected (process pool or a work queue
-    served by real ``repro worker`` subprocesses) — the acceptance
+    served by real worker processes) — the acceptance
     proof that ``prime_probe``/``evict_time`` merged results are
     bit-identical across backends and shard counts."""
 
