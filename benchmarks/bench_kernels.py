@@ -2,10 +2,11 @@
 
 Measures the batched NumPy kernels (:mod:`repro.kernels`) against the
 scalar loops on the hot paths — contention-attack trial blocks, trace
-replay (pwcet (run, set) rounds, missrate set rounds), the missrate
-grid's memoised trace builds, the Bernstein engine's per-epoch
-cold-line replay and its fused AES timing pass (against the per-block
-pipeline it replaced) — building each cell
+replay (pwcet (run, set) rounds, missrate set rounds), the Random
+Modulo set map (per-(tag, seed) tables against per-element Benes
+routing), the missrate grid's memoised trace builds, the Bernstein
+engine's per-epoch cold-line replay and its fused AES timing pass
+(against the per-block pipeline it replaced) — building each cell
 exactly the way a campaign does (same specs, same per-trial seed
 hooks, same epoch seed plan).  Every measured pair is also asserted
 bit-identical — a benchmark that drifted from the scalar semantics
@@ -50,6 +51,7 @@ from repro.campaigns.experiments import (
     _contention_seeder,
     _missrate_counts_scalar,
     _missrate_inputs,
+    _pwcet_run_seed,
     _pwcet_times,
     _pwcet_times_scalar,
     _pwcet_trace,
@@ -66,9 +68,11 @@ from repro.core.batch import (
     AESTimingEngine,
     lookup_line_ids,
 )
-from repro.core.setups import make_setup
+from repro.cache.placement import make_placement
+from repro.core.setups import make_setup, setup_hierarchy_config
 from repro.crypto.aes import AES128
-from repro.kernels.replay import replay_missrate
+from repro.kernels.placement import vector_placement
+from repro.kernels.replay import _address_fields, replay_missrate
 from benchmarks.reporting import emit
 
 DEFAULT_JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_kernels.json")
@@ -108,6 +112,12 @@ REPLAYS = (
     ("pwcet", "deterministic", (("analyse", False),), 300, 5.0),
     ("missrate", "random_modulo", (("workload", "reuse"),), 1, 1.0),
 )
+
+#: Random Modulo set mapping at the pwcet lockstep shape (the mbpta
+#: L1: every access of the task trace under each of 300 run seeds):
+#: every element routed through the Benes network (the reference)
+#: against the per-(tag, seed) set tables plus one gather.
+RANDOM_MODULO_MAP = ("mbpta", 300, 3.0)
 
 #: The §6.2.3 grid's trace builds: every cell rebuilding its workload
 #: trace (the reference) against the per-process memo, which builds
@@ -262,6 +272,30 @@ def _bench_missrate(policy, params, floor, repeats) -> dict:
                 misses, scalar_s, vector_s)
 
 
+def _bench_random_modulo(setup, runs, floor, repeats) -> dict:
+    spec = _bench_spec("pwcet", setup, (("analyse", False),), runs)
+    resolved = resolve_pwcet_kernel(spec)
+    config = setup_hierarchy_config(setup)
+    layout = config.l1_geometry.layout()
+    adapter = vector_placement(make_placement(config.l1_placement, layout))
+    _, tags, indices = _address_fields(layout, _pwcet_trace(spec).addresses)
+    root = spec.seed_sequence()
+    seeds = np.array([_pwcet_run_seed(root, run) for run in range(runs)],
+                     dtype=np.uint64)
+    grid = (tags[:, None], indices[:, None], seeds[None, :])
+    scalar_s, per_element = _time_fn(
+        lambda: adapter.map_elements(*grid), repeats
+    )
+    vector_s, tabled = _time_fn(lambda: adapter.map_sets(*grid), repeats)
+    if not np.array_equal(per_element, tabled):
+        raise AssertionError(
+            "placement/random_modulo: set tables diverged from the "
+            "per-element network"
+        )
+    return _row("placement", config.l1_placement, (), runs, floor, resolved,
+                int(per_element.sum()), scalar_s, vector_s)
+
+
 def _bench_missrate_trace(floor, repeats) -> dict:
     specs = missrate_grid()
     resolved = resolve_missrate_kernel(specs[0])
@@ -400,6 +434,7 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
             rows.append(_bench_pwcet(label, params, runs, floor, repeats))
         else:
             rows.append(_bench_missrate(label, params, floor, repeats))
+    rows.append(_bench_random_modulo(*RANDOM_MODULO_MAP, repeats))
     rows.append(_bench_missrate_trace(MISSRATE_TRACE_FLOOR, repeats))
     for setup, samples, floor in EPOCH_REPLAYS:
         rows.append(_bench_epoch_states(setup, samples, floor, repeats))

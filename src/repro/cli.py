@@ -639,6 +639,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_coordinator(args: argparse.Namespace) -> int:
+    import threading
+
     from repro.backends import CoordinatorServer
 
     try:
@@ -684,14 +686,22 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
               f"({pool})\n"
               f"join with: repro worker --coordinator {server.url}",
               file=sys.stderr, flush=True)
+    server.start()
     try:
-        server.serve_forever()
+        threading.Event().wait()
     except KeyboardInterrupt:
         pass
     finally:
         if supervisor is not None:
+            # Drain the pool while HTTP still answers, so every worker
+            # sees the stop sentinel on its next claim and exits
+            # cleanly; clear it afterwards, or a coordinator restarted
+            # on this queue dir would stop every worker that joins.
+            server.state.set_stop(True)
             supervisor.shutdown()
         server.shutdown()
+        if supervisor is not None:
+            server.state.set_stop(False)
     return 0
 
 

@@ -135,6 +135,22 @@ class TraceArrays:
         ):
             yield MemoryAccess(address, _KIND_TYPES[kind], 4, pid)
 
+    @classmethod
+    def from_addresses(cls, addresses, pid: int = 0,
+                       stores: Optional[np.ndarray] = None) -> "TraceArrays":
+        """Data accesses at ``addresses`` (ints or an int array), all
+        under ``pid``: loads, except where the boolean ``stores`` mask
+        is set."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        load = _KIND_CODES[AccessType.LOAD]
+        if stores is None:
+            kinds = np.full(addresses.size, load, dtype=np.int8)
+        else:
+            kinds = np.where(stores, _KIND_CODES[AccessType.STORE],
+                             load).astype(np.int8)
+        return cls(addresses, np.full(addresses.size, pid, dtype=np.int64),
+                   kinds)
+
     @property
     def is_ifetch(self) -> np.ndarray:
         return self.kinds == _KIND_CODES[AccessType.IFETCH]

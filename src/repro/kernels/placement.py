@@ -12,7 +12,11 @@ per :func:`repro.cache.placement._hash64` call, the same rotate/XOR/
 fold rounds for hashRP, the same per-tag material derivation and
 Benes routing for Random Modulo.  All intermediate math runs in
 ``uint64`` (NumPy's unsigned wrap-around matches the scalar code's
-explicit ``& mask(64)``).
+explicit ``& mask(64)``).  Random Modulo routes only the distinct
+``(tag, seed)`` pairs when they are few against the output: each
+pair's network is a bit permutation, so ``n + 1`` routed values expand
+into the pair's whole ``2**n``-entry set table, and the map is one
+gather (the rule is :data:`_TABLE_ENTRIES_PER_ELEMENT`).
 
 :func:`vector_placement` is the capability seam: it returns an adapter
 for the exact policy classes it knows how to vectorize and ``None``
@@ -61,6 +65,11 @@ def _as_u64(values) -> np.ndarray:
 
 def splitmix64_step_vec(state: np.ndarray):
     """Vector form of :func:`repro.common.prng.splitmix64_step`."""
+    if state.ndim == 0:
+        # NumPy warns about the (intended) wrap-around on 0-d operands
+        # only: step a one-element array instead.
+        state, z = splitmix64_step_vec(state.reshape(1))
+        return state[0], z[0]
     state = state + _SPLITMIX_GAMMA
     z = (state ^ (state >> U64(30))) * _SPLITMIX_MUL1
     z = (z ^ (z >> U64(27))) * _SPLITMIX_MUL2
@@ -81,6 +90,10 @@ class VectorPlacement:
     shapes; the result is an ``int64`` array of the broadcast shape.
     """
 
+    #: Whether the mapping depends on the seed.  Runs whose seeds differ
+    #: only at levels that do not read them replay identically.
+    reads_seed = True
+
     def __init__(self, policy: PlacementPolicy) -> None:
         self.policy = policy
         self.layout = policy.layout
@@ -90,6 +103,8 @@ class VectorPlacement:
 
 
 class _VectorModulo(VectorPlacement):
+    reads_seed = False
+
     def map_sets(self, tags, indices, seeds) -> np.ndarray:
         tags, indices, seeds = np.broadcast_arrays(
             _as_u64(tags), _as_u64(indices), _as_u64(seeds)
@@ -146,6 +161,18 @@ class _VectorHashRP(VectorPlacement):
 
 
 class _VectorRandomModulo(VectorPlacement):
+    """Random Modulo: per-(tag, seed) material routed through the Benes
+    network.
+
+    With its control word fixed the network is a bit permutation ``P``,
+    which is linear over XOR, so ``P(index ^ m) = P(m) ^ P(index)``.
+    When few distinct ``(tag, seed)`` pairs cover many elements,
+    :meth:`map_sets` routes only ``P(m)`` and the ``n`` unit vectors of
+    each distinct pair, expands them into the pair's ``2**n``-entry set
+    table and gathers; otherwise it routes every element (see
+    :data:`_TABLE_ENTRIES_PER_ELEMENT` for the rule).
+    """
+
     def __init__(self, policy: RandomModuloPlacement) -> None:
         super().__init__(policy)
         network: BenesNetwork = policy._network
@@ -162,23 +189,26 @@ class _VectorRandomModulo(VectorPlacement):
         self._swap_masks = (U64(1) << self._switch_shifts_i) | (
             U64(1) << self._switch_shifts_j
         )
+        self._unit_vectors = U64(1) << np.arange(n, dtype=np.uint64)
 
-    def map_sets(self, tags, indices, seeds) -> np.ndarray:
+    def _material(self, tags: np.ndarray, seeds: np.ndarray):
+        """``(xor_mask, control)`` per (tag, seed), as in
+        ``_per_tag_material`` (``tags`` and ``seeds`` broadcast)."""
         layout = self.layout
-        index_bits = layout.index_bits
         tag_mask = U64(mask(layout.tag_bits))
-        index_mask = U64(mask(index_bits))
-        control_mask = U64(self.policy._control_mask)
-        tags = _as_u64(tags)
-        seeds = _as_u64(seeds)
-        # Per-(tag, seed) material, as in _per_tag_material.
-        seeded_tag = tags ^ (hash64_vec(seeds) & tag_mask)
-        mixed = hash64_vec(seeded_tag ^ hash64_vec(seeds ^ U64(0x517CC1B727220A95)))
-        xor_mask = mixed & index_mask
-        control = ((mixed >> U64(index_bits)) ^ hash64_vec(mixed)) & control_mask
-        value, control = np.broadcast_arrays(
-            _as_u64(indices) ^ xor_mask, control
+        mixed = hash64_vec(
+            (tags ^ (hash64_vec(seeds) & tag_mask))
+            ^ hash64_vec(seeds ^ U64(0x517CC1B727220A95))
         )
+        xor_mask = mixed & U64(mask(layout.index_bits))
+        control = ((mixed >> U64(layout.index_bits)) ^ hash64_vec(mixed)) & (
+            U64(self.policy._control_mask)
+        )
+        return xor_mask, control
+
+    def _route(self, values: np.ndarray, control: np.ndarray) -> np.ndarray:
+        """``permute_bits`` of each value under its control word."""
+        value, control = np.broadcast_arrays(values, control)
         value = value.copy()
         one = U64(1)
         for pos in range(len(self._swap_masks)):
@@ -187,7 +217,65 @@ class _VectorRandomModulo(VectorPlacement):
             bit_j = (value >> self._switch_shifts_j[pos]) & one
             swap = ctrl_bit & (bit_i ^ bit_j)
             value ^= swap * self._swap_masks[pos]
-        return value.astype(np.int64)
+        return value
+
+    def _tables(self, tags: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """``(len(tags), len(seeds), 2**n)`` set tables of the pair grid."""
+        n = self.layout.index_bits
+        xor_mask, control = self._material(tags[:, None], seeds[None, :])
+        # Route P(m) and P(e_0) .. P(e_{n-1}) of every pair at once.
+        routed = self._route(
+            np.concatenate((xor_mask[None],
+                            np.broadcast_to(self._unit_vectors[:, None, None],
+                                            (n,) + control.shape))),
+            control[None],
+        ).astype(np.int64)
+        tables = np.empty(control.shape + (1 << n,), dtype=np.int64)
+        tables[..., 0] = routed[0]
+        for k in range(n):
+            width = 1 << k
+            tables[..., width:2 * width] = (tables[..., :width]
+                                            ^ routed[k + 1][..., None])
+        return tables
+
+    def map_sets(self, tags, indices, seeds) -> np.ndarray:
+        tags = _as_u64(tags)
+        seeds = _as_u64(seeds)
+        indices = _as_u64(indices)
+        size = np.broadcast(tags, indices, seeds).size
+        n = self.layout.index_bits
+        # An input already as large as the output cannot shrink the
+        # grid below it: skip the sort (per-element contention calls).
+        if tags.size < size and seeds.size < size:
+            distinct_tags, tag_of = np.unique(tags.ravel(),
+                                              return_inverse=True)
+            distinct_seeds, seed_of = np.unique(seeds.ravel(),
+                                                return_inverse=True)
+            pairs = distinct_tags.size * distinct_seeds.size
+            if (pairs * (n + 1) < size
+                    and pairs << n <= _TABLE_ENTRIES_PER_ELEMENT * size):
+                tables = self._tables(distinct_tags, distinct_seeds)
+                pair = (tag_of.reshape(tags.shape) * distinct_seeds.size
+                        + seed_of.reshape(seeds.shape))
+                return tables.reshape(-1)[
+                    (pair << n) | indices.astype(np.int64)
+                ]
+        return self.map_elements(tags, indices, seeds)
+
+    def map_elements(self, tags, indices, seeds) -> np.ndarray:
+        """:meth:`map_sets` routing every element through the network
+        (``uint64`` array inputs)."""
+        xor_mask, control = self._material(tags, seeds)
+        return self._route(indices ^ xor_mask, control).astype(np.int64)
+
+
+#: The Random Modulo table rule.  The per-(tag, seed) tables replace
+#: the per-element Benes routing only when they need fewer network
+#: evaluations (``n + 1`` per distinct pair against one per element)
+#: and at most this many table entries (``2**n`` per pair) per output
+#: element.  Fixed, not a knob: it bounds the tables' memory by a small
+#: multiple of the result's.
+_TABLE_ENTRIES_PER_ELEMENT = 4
 
 
 class _VectorPermutation(VectorPlacement):

@@ -38,6 +38,15 @@ falling back to scalar.
 Whatever the shapes, a run's latency over ``A`` accesses is
 ``A·l1_hit + l1_misses·l2_hit + l2_misses·memory``.
 
+**One row per distinct platform** — before any shape runs, the
+hierarchy batch groups its runs by their effective platform: the
+per-pid seeds at the levels whose placement reads a seed (modulo does
+not; random replacement adds nothing, since every run restarts the
+same draw stream).  Each distinct platform is replayed as one row and
+its time scattered back to its runs, so the modulo hierarchies
+(deterministic, rpcache) and fixed-platform (``reseed=False``) budgets
+replay a single row.
+
 The ``*_support`` probes return ``None`` (in-envelope) or a
 machine-readable reason string, surfaced by ``--dry-run`` and the
 ``kernel_fallback`` telemetry event.
@@ -216,26 +225,34 @@ class _LevelBatch:
         self.rounds = replacement_name in _SET_LOCAL_NAMES
         self.seeds = VectorSeedRegister(num_runs)
 
-    def sets_of(self, trace: TraceArrays, runs, accesses) -> np.ndarray:
+    def sets_of(self, trace: TraceArrays, seeds, runs,
+                accesses) -> np.ndarray:
         """Set of each ``(run, access)`` pair under the run's seed for
-        the access's pid (``runs`` and ``accesses`` broadcast)."""
+        the access's pid (``runs`` and ``accesses`` broadcast;
+        ``seeds`` maps each pid to its per-row seeds)."""
         _, tags, indices = _address_fields(self.layout, trace.addresses)
-        pids = np.unique(trace.pids).tolist()
-        if len(pids) == 1:
-            seeds = self.seeds.seeds_for(pids[0])[runs]
+        if len(seeds) == 1:
+            (pid_seeds,) = seeds.values()
+            row_seeds = pid_seeds[runs]
         else:
             runs, accesses = np.broadcast_arrays(runs, accesses)
             access_pids = trace.pids[accesses]
-            seeds = np.empty(runs.shape, dtype=np.uint64)
-            for pid in pids:
+            row_seeds = np.empty(runs.shape, dtype=np.uint64)
+            for pid, pid_seeds in seeds.items():
                 mine = access_pids == pid
-                seeds[mine] = self.seeds.seeds_for(pid)[runs[mine]]
+                row_seeds[mine] = pid_seeds[runs[mine]]
         return self.placement.map_sets(tags[accesses], indices[accesses],
-                                       seeds)
+                                       row_seeds)
 
-    def replay(self, trace: TraceArrays, active: np.ndarray) -> np.ndarray:
-        """Hit mask of the ``active`` ``(run, access)`` elements
-        (inactive elements read False)."""
+    def replay(self, trace: TraceArrays, active: np.ndarray,
+               runs_of_rows: np.ndarray) -> np.ndarray:
+        """Hit mask of the ``active`` ``(row, access)`` elements
+        (inactive elements read False); row ``i`` replays run
+        ``runs_of_rows[i]``'s seeds."""
+        seeds = {
+            pid: self.seeds.seeds_for(pid)[runs_of_rows]
+            for pid in np.unique(trace.pids).tolist()
+        }
         hits = np.zeros(active.shape, dtype=bool)
         lines, _, _ = _address_fields(self.layout, trace.addresses)
         num_runs, length = active.shape
@@ -245,7 +262,7 @@ class _LevelBatch:
             for lo in range(0, num_runs, block):
                 runs, accesses = np.nonzero(active[lo:lo + block])
                 runs += lo
-                sets = self.sets_of(trace, runs, accesses)
+                sets = self.sets_of(trace, seeds, runs, accesses)
                 hits[runs, accesses] = _replay_rounds(
                     self.replacement_name, num_ways,
                     runs * num_sets + sets, lines[accesses],
@@ -260,7 +277,7 @@ class _LevelBatch:
         steps = np.flatnonzero(active.any(axis=0))
         runs = np.arange(num_runs)
         # (steps, R): one contiguous row of sets per lockstep access.
-        sets = self.sets_of(trace, runs[None, :], steps[:, None])
+        sets = self.sets_of(trace, seeds, runs[None, :], steps[:, None])
         for step, a in enumerate(steps.tolist()):
             mine = np.flatnonzero(active[:, a])
             step_sets = sets[step, mine]
@@ -305,28 +322,54 @@ class VectorHierarchyBatch:
         for level in (self.l1i, self.l1d, self.l2):
             level.seeds.set_seed(run, seed, pid)
 
+    def distinct_runs(self, trace: TraceArrays):
+        """``(runs_of_rows, row_of_run)``: one representative run per
+        distinct effective platform, and each run's row among them.
+
+        A run's platform is its per-pid seeds at the levels whose
+        placement reads a seed.  Random replacement adds nothing: every
+        run restarts the same fixed draw stream.  So runs with equal
+        keys replay identically, and only one of each is replayed.
+        """
+        pids = np.unique(trace.pids).tolist()
+        keys = [
+            level.seeds.seeds_for(pid)
+            for level in (self.l1i, self.l1d, self.l2)
+            if level.placement.reads_seed
+            for pid in pids
+        ]
+        if not keys:
+            return np.zeros(1, dtype=np.int64), np.zeros(self.num_runs,
+                                                         dtype=np.int64)
+        _, runs_of_rows, row_of_run = np.unique(
+            np.stack(keys, axis=1), axis=0, return_index=True,
+            return_inverse=True,
+        )
+        return runs_of_rows, row_of_run.reshape(-1)
+
     def run_trace(self, trace) -> np.ndarray:
         """Total memory latency of ``trace`` per run (``(R,)`` int64).
 
         ``trace`` is a :class:`~repro.common.trace.Trace` or its
         :class:`~repro.common.trace.TraceArrays`.  Call after all
         per-run seeds are set: the access→set mapping is computed under
-        the final seeds.
+        the final seeds.  Each distinct platform (:meth:`distinct_runs`)
+        is replayed once and its time scattered to its runs.
         """
         arrays = trace_arrays(trace)
         lat = self.config.latencies
-        times = np.zeros(self.num_runs, dtype=np.int64)
         if not len(arrays):
-            return times
-        shape = (self.num_runs, len(arrays))
+            return np.zeros(self.num_runs, dtype=np.int64)
+        runs_of_rows, row_of_run = self.distinct_runs(arrays)
+        shape = (runs_of_rows.size, len(arrays))
         ifetch = np.broadcast_to(arrays.is_ifetch, shape)
-        l1_miss = ~(self.l1i.replay(arrays, ifetch)
-                    | self.l1d.replay(arrays, ~ifetch))
-        l2_miss = l1_miss & ~self.l2.replay(arrays, l1_miss)
-        times += len(arrays) * lat.l1_hit
+        l1_miss = ~(self.l1i.replay(arrays, ifetch, runs_of_rows)
+                    | self.l1d.replay(arrays, ~ifetch, runs_of_rows))
+        l2_miss = l1_miss & ~self.l2.replay(arrays, l1_miss, runs_of_rows)
+        times = np.full(shape[0], len(arrays) * lat.l1_hit, dtype=np.int64)
         times += l1_miss.sum(axis=1) * lat.l2_hit
         times += l2_miss.sum(axis=1) * lat.memory
-        return times
+        return times[row_of_run]
 
 
 #: Replacement classes whose per-set state is independent across sets,

@@ -1,14 +1,20 @@
 """Synthetic memory-trace generators.
 
-Used by the miss-rate benchmarks (§6.2.3: RM within ~1% of modulo) and
-by tests.  All generators are deterministic given their arguments; the
-randomized ones take an explicit PRNG seed.
+Used by the miss-rate benchmarks (§6.2.3: RM within ~1% of modulo), the
+pWCET task and tests.  All generators are deterministic given their
+arguments; the randomized ones take an explicit PRNG seed.  Each
+returns a :class:`~repro.common.trace.TraceArrays` built straight from
+NumPy or a list of ints — what the replay kernels read — and iterating
+it yields the :class:`~repro.common.trace.MemoryAccess` records a
+scalar cache takes.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.prng import XorShift128
-from repro.common.trace import Trace
+from repro.common.trace import TraceArrays
 
 
 def stride_trace(
@@ -17,7 +23,7 @@ def stride_trace(
     count: int = 1024,
     repeats: int = 4,
     pid: int = 0,
-) -> Trace:
+) -> TraceArrays:
     """Sequential walk over ``count`` addresses, repeated ``repeats`` times.
 
     With stride == line size this is the classic streaming pattern;
@@ -26,11 +32,8 @@ def stride_trace(
     """
     if stride <= 0 or count <= 0 or repeats <= 0:
         raise ValueError("stride, count and repeats must be positive")
-    trace = Trace(name=f"stride_{stride}x{count}")
-    for _ in range(repeats):
-        for i in range(count):
-            trace.load(base + i * stride, pid=pid)
-    return trace
+    walk = base + np.arange(count, dtype=np.int64) * stride
+    return TraceArrays.from_addresses(np.tile(walk, repeats), pid)
 
 
 def reuse_trace(
@@ -41,22 +44,21 @@ def reuse_trace(
     reuse_fraction: float = 0.8,
     seed: int = 7,
     pid: int = 0,
-) -> Trace:
+) -> TraceArrays:
     """Mix of reuses within a hot working set and cold streaming accesses."""
     if not 0.0 <= reuse_fraction <= 1.0:
         raise ValueError("reuse_fraction must be within [0, 1]")
-    prng = XorShift128(seed)
-    trace = Trace(name=f"reuse_{working_set}")
-    cold_cursor = base + working_set * line_size
+    below = XorShift128(seed).next_below
     threshold = int(reuse_fraction * 1000)
-    for _ in range(accesses):
-        if prng.next_below(1000) < threshold:
-            line = prng.next_below(working_set)
-            trace.load(base + line * line_size, pid=pid)
-        else:
-            trace.load(cold_cursor, pid=pid)
-            cold_cursor += line_size
-    return trace
+    # A hot line, or -1 for the next cold line.
+    lines = np.array(
+        [below(working_set) if below(1000) < threshold else -1
+         for _ in range(accesses)],
+        dtype=np.int64,
+    )
+    cold = lines < 0
+    lines[cold] = working_set + np.arange(np.count_nonzero(cold))
+    return TraceArrays.from_addresses(base + lines * line_size, pid)
 
 
 def pointer_chase_trace(
@@ -66,7 +68,7 @@ def pointer_chase_trace(
     hops: int = 4096,
     seed: int = 11,
     pid: int = 0,
-) -> Trace:
+) -> TraceArrays:
     """Random-permutation pointer chase: no spatial locality at all."""
     if num_nodes <= 1:
         raise ValueError("need at least two nodes")
@@ -75,12 +77,9 @@ def pointer_chase_trace(
     for i in range(num_nodes - 1, 0, -1):
         j = prng.next_below(i + 1)
         order[i], order[j] = order[j], order[i]
-    trace = Trace(name=f"chase_{num_nodes}")
-    node = 0
-    for _ in range(hops):
-        trace.load(base + order[node] * node_size, pid=pid)
-        node = (node + 1) % num_nodes
-    return trace
+    nodes = np.take(np.array(order, dtype=np.int64),
+                    np.arange(hops) % num_nodes)
+    return TraceArrays.from_addresses(base + nodes * node_size, pid)
 
 
 def random_trace(
@@ -90,20 +89,19 @@ def random_trace(
     seed: int = 13,
     pid: int = 0,
     store_fraction: float = 0.2,
-) -> Trace:
+) -> TraceArrays:
     """Uniformly random accesses over ``span`` bytes, mixed loads/stores."""
     if span <= 0:
         raise ValueError("span must be positive")
-    prng = XorShift128(seed)
-    trace = Trace(name="random")
-    store_threshold = int(store_fraction * 1000)
-    for _ in range(accesses):
-        address = base + (prng.next_below(span) & ~0x3)
-        if prng.next_below(1000) < store_threshold:
-            trace.store(address, pid=pid)
-        else:
-            trace.load(address, pid=pid)
-    return trace
+    below = XorShift128(seed).next_below
+    # Per access: its address draw, then its load/store draw.
+    draws = np.array(
+        [(below(span), below(1000)) for _ in range(accesses)], dtype=np.int64
+    ).reshape(accesses, 2)
+    return TraceArrays.from_addresses(
+        base + (draws[:, 0] & ~0x3), pid,
+        stores=draws[:, 1] < int(store_fraction * 1000),
+    )
 
 
 def matrix_walk_trace(
@@ -113,18 +111,12 @@ def matrix_walk_trace(
     element_size: int = 4,
     column_major: bool = False,
     pid: int = 0,
-) -> Trace:
+) -> TraceArrays:
     """Row- or column-major walk over a matrix (classic locality contrast)."""
-    trace = Trace(name=f"matrix_{rows}x{cols}_{'col' if column_major else 'row'}")
+    elements = np.arange(rows * cols, dtype=np.int64)
     if column_major:
-        for c in range(cols):
-            for r in range(rows):
-                trace.load(base + (r * cols + c) * element_size, pid=pid)
-    else:
-        for r in range(rows):
-            for c in range(cols):
-                trace.load(base + (r * cols + c) * element_size, pid=pid)
-    return trace
+        elements = elements.reshape(rows, cols).T.ravel()
+    return TraceArrays.from_addresses(base + elements * element_size, pid)
 
 
 def multi_page_task_trace(
@@ -136,7 +128,7 @@ def multi_page_task_trace(
     object_offset: int = 0,
     rewalk_lines: int = 256,
     pid: int = 0,
-) -> Trace:
+) -> TraceArrays:
     """The pWCET experiments' synthetic task: a multi-page working set,
     an optional relocatable object, and a re-walk of the first lines.
 
@@ -151,17 +143,14 @@ def multi_page_task_trace(
         raise ValueError("pages and lines_per_page must be positive")
     if object_lines < 0 or rewalk_lines < 0:
         raise ValueError("object_lines and rewalk_lines must be non-negative")
-    addresses = [
-        base + page * 0x1000 + i * line_size
-        for page in range(pages)
-        for i in range(lines_per_page)
-    ]
-    addresses += [
-        base + pages * 0x1000 + object_offset + i * line_size
-        for i in range(object_lines)
-    ]
-    addresses += addresses[:rewalk_lines]
-    trace = Trace(name=f"task_{pages}p{lines_per_page}")
-    for address in addresses:
-        trace.load(address, pid=pid)
-    return trace
+    working_set = (
+        base
+        + np.arange(pages, dtype=np.int64)[:, None] * 0x1000
+        + np.arange(lines_per_page, dtype=np.int64)[None, :] * line_size
+    ).ravel()
+    obj = (base + pages * 0x1000 + object_offset
+           + np.arange(object_lines, dtype=np.int64) * line_size)
+    addresses = np.concatenate((working_set, obj))
+    return TraceArrays.from_addresses(
+        np.concatenate((addresses, addresses[:rewalk_lines])), pid
+    )

@@ -573,7 +573,7 @@ def _free_port():
     return port
 
 
-def _start_coordinator_process(queue_dir, port):
+def _start_coordinator_process(queue_dir, port, *extra_args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     return subprocess.Popen(
@@ -581,6 +581,7 @@ def _start_coordinator_process(queue_dir, port):
             sys.executable, "-m", "repro", "coordinator",
             "--queue-dir", queue_dir,
             "--port", str(port), "--host", "127.0.0.1", "--quiet",
+            *extra_args,
         ],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -654,6 +655,47 @@ class TestCoordinatorCrashRestart:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10.0)
+
+
+class TestCoordinatorInterrupt:
+    def test_sigint_drains_elastic_pool_promptly(self, tmp_path):
+        """SIGINT stops ``repro coordinator --max-workers``: its forked
+        workers see the stop sentinel over HTTP and exit cleanly, then
+        the sentinel is cleared so a restart on the same queue dir
+        still serves (no wait for the 10 s terminate deadline)."""
+        queue_dir = str(tmp_path / "queue")
+        port = _free_port()
+        coordinator = _start_coordinator_process(
+            queue_dir, port, "--max-workers", "1"
+        )
+        log_dir = os.path.join(queue_dir, "workers")
+
+        def worker_logs():
+            if not os.path.isdir(log_dir):
+                return ""
+            text = ""
+            for name in sorted(os.listdir(log_dir)):
+                if name.endswith(".log"):
+                    with open(os.path.join(log_dir, name)) as handle:
+                        text += handle.read()
+            return text
+
+        try:
+            deadline = time.monotonic() + 30.0
+            while "serving" not in worker_logs():
+                assert time.monotonic() < deadline, "no worker started"
+                assert coordinator.poll() is None
+                time.sleep(0.02)
+            start = time.monotonic()
+            coordinator.send_signal(signal.SIGINT)
+            assert coordinator.wait(timeout=3.0) == 0
+            assert time.monotonic() - start < 3.0
+            assert "exiting after 0 unit(s)" in worker_logs()
+            assert not os.path.exists(wq._stop_path(queue_dir))
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait(timeout=10.0)
 
 
 class TestClaimCutShortByRestart:

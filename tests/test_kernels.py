@@ -6,7 +6,8 @@ shrink-free generators, as in ``test_cache_properties.py``):
 
 * every vectorized placement adapter reproduces its scalar policy's
   ``map_set`` exactly, over random geometries, tags, indices and
-  seeds (broadcast shapes included);
+  seeds (broadcast shapes included), Random Modulo on both its
+  per-(tag, seed) table path and its per-element path;
 * :class:`~repro.kernels.cache.VectorCacheBatch` replays random
   per-trial access traces with the same hit/miss sequence and the
   same final resident lines as a bank of scalar LRU caches;
@@ -28,7 +29,8 @@ shrink-free generators, as in ``test_cache_properties.py``):
   ``kernel_fallback`` telemetry event);
 * the trace-replay kernels (pwcet (run, set) rounds with a lockstep
   random L1, missrate set rounds) reproduce the scalar per-access loops
-  exactly, and the missrate workload traces are built once per process;
+  exactly, replaying each distinct platform once, and the missrate
+  workload traces are built once per process;
 * the envelope probe alone picks each cell's kernel (a ``kernel``
   spec param is rejected), and with every probe refusing, the golden
   contention, pwcet and missrate cells reproduce their frozen values
@@ -145,6 +147,87 @@ class TestVectorPlacementEquivalence:
                 assert grid[t, a] == policy.map_set(
                     int(tags[a]), int(indices[a]), int(seeds[t])
                 )
+
+
+class TestRandomModuloTables:
+    """Random Modulo maps few distinct ``(tag, seed)`` pairs through
+    per-pair set tables and everything else element by element; both
+    paths equal the scalar ``map_set``."""
+
+    @staticmethod
+    def check(geometry, tags, indices, seeds, table_path, page_size=4096):
+        policy = make_placement("random_modulo", geometry.layout(),
+                                page_size=page_size)
+        adapter = vector_placement(policy)
+        built = []
+        tables = adapter._tables
+        adapter._tables = lambda *args: built.append(1) or tables(*args)
+        got = adapter.map_sets(tags, indices, seeds)
+        assert bool(built) == table_path
+        bt, bi, bs = np.broadcast_arrays(np.asarray(tags, np.uint64),
+                                         np.asarray(indices, np.uint64),
+                                         np.asarray(seeds, np.uint64))
+        assert got.shape == bt.shape and got.dtype == np.int64
+        expected = [policy.map_set(int(t), int(i), int(s))
+                    for t, i, s in zip(bt.ravel(), bi.ravel(), bs.ravel())]
+        assert got.ravel().tolist() == expected
+
+    @staticmethod
+    def draws(rng, count, bits):
+        return np.array([rng.getrandbits(bits) for _ in range(count)],
+                        dtype=np.uint64)
+
+    @pytest.mark.parametrize("distinct_tags,table_path",
+                             [(3, True), (None, False)],
+                             ids=["few-tags", "all-distinct"])
+    def test_outer_product(self, distinct_tags, table_path):
+        """``(S, 1)`` accesses x ``(1, R)`` run seeds: the pwcet
+        lockstep and epoch-replay shape."""
+        geometry = GEOMETRIES[2]
+        layout = geometry.layout()
+        rng = random.Random(stable_seed("rm-outer", str(distinct_tags)))
+        tags = self.draws(rng, 96, layout.tag_bits)
+        if distinct_tags is not None:
+            tags %= np.uint64(distinct_tags)
+        indices = self.draws(rng, 96, layout.index_bits)
+        seeds = self.draws(rng, 24, 64)
+        self.check(geometry, tags[:, None], indices[:, None],
+                   seeds[None, :], table_path)
+
+    def test_per_element_seeds(self):
+        """One seed per element (the contention trials): no table."""
+        geometry = GEOMETRIES[0]
+        layout = geometry.layout()
+        rng = random.Random(stable_seed("rm-1d"))
+        tags = self.draws(rng, 200, 2)
+        self.check(geometry, tags, self.draws(rng, 200, layout.index_bits),
+                   self.draws(rng, 200, 64), table_path=False)
+
+    @pytest.mark.parametrize("tags_shape,table_path",
+                             [((64, 1), True), ((64, 16), False)])
+    def test_scalar_seed(self, tags_shape, table_path):
+        geometry = GEOMETRIES[2]
+        layout = geometry.layout()
+        rng = random.Random(stable_seed("rm-scalar", str(tags_shape)))
+        tags = self.draws(rng, int(np.prod(tags_shape)), 2).reshape(
+            tags_shape)
+        indices = self.draws(rng, 64 * 16, layout.index_bits).reshape(64, 16)
+        self.check(geometry, tags, indices, np.uint64(rng.getrandbits(64)),
+                   table_path)
+
+    @pytest.mark.parametrize("tag_bits,table_path", [(1, True), (8, False)])
+    def test_2048_sets(self, tag_bits, table_path):
+        """2**11-entry tables: worth building only when few pairs cover
+        many elements."""
+        geometry = CacheGeometry(256 * 1024, 4, 32)
+        layout = geometry.layout()
+        assert geometry.num_sets == 2048
+        rng = random.Random(stable_seed("rm-2048", tag_bits))
+        tags = self.draws(rng, 2048, tag_bits)
+        indices = self.draws(rng, 2048, layout.index_bits)
+        self.check(geometry, tags[:, None], indices[:, None],
+                   self.draws(rng, 4, 64)[None, :], table_path,
+                   page_size=geometry.num_sets * geometry.line_size)
 
 
 class TestVectorCacheEquivalence:
@@ -853,6 +936,75 @@ class TestReplayKernels:
                 hierarchy.set_seeds(77 * run + 5, pid=1)
                 scalar.append(hierarchy.run_trace(trace))
             assert batch.run_trace(trace).tolist() == scalar, setup
+
+    @pytest.fixture
+    def replayed_rows(self, monkeypatch):
+        """Rows each ``_LevelBatch.replay`` call sees, in call order."""
+        from repro.kernels import replay
+
+        rows = []
+        original = replay._LevelBatch.replay
+
+        def counted(level, trace, active, runs_of_rows):
+            rows.append(active.shape[0])
+            return original(level, trace, active, runs_of_rows)
+
+        monkeypatch.setattr(replay._LevelBatch, "replay", counted)
+        return rows
+
+    @pytest.mark.parametrize("setup,rows", [
+        ("deterministic", 1), ("rpcache", 1), ("mbpta", 300),
+    ])
+    def test_each_distinct_platform_replays_once(self, replayed_rows,
+                                                 setup, rows):
+        """Modulo placement never reads the seed, so the deterministic
+        and rpcache hierarchies replay one row for 300 runs."""
+        from repro.campaigns.experiments import (
+            _pwcet_times_vector,
+            _pwcet_trace,
+        )
+
+        spec = ExperimentSpec(kind="pwcet", setup=setup, num_samples=300,
+                              seed=7, params={"analyse": False})
+        times = _pwcet_times_vector(spec, _pwcet_trace(spec), 0, 300)
+        assert times.shape == (300,)
+        assert replayed_rows == [rows] * 3  # l1i, l1d, l2
+
+    def test_fixed_platform_replays_one_row(self, replayed_rows):
+        from repro.campaigns.experiments import (
+            _pwcet_times_scalar,
+            _pwcet_trace,
+        )
+
+        spec = ExperimentSpec(kind="pwcet", setup="mbpta", num_samples=6,
+                              seed=7, params={"analyse": False,
+                                              "reseed": False})
+        rounds, scalar = self._rounds_and_scalar(spec, _pwcet_trace(spec),
+                                                 0, 6)
+        assert replayed_rows == [1] * 3
+        assert np.array_equal(rounds, scalar)
+
+    def test_repeated_seeds_replay_once_each(self, replayed_rows):
+        """Runs sharing a seed share a row; each run still gets its own
+        platform's time back."""
+        from repro.cache.hierarchy import CacheHierarchy
+        from repro.core.setups import setup_hierarchy_config
+        from repro.kernels import VectorHierarchyBatch
+        from repro.workloads.generators import multi_page_task_trace
+
+        trace = multi_page_task_trace()
+        seeds = [4, 9, 4, 31, 9, 4, 2]
+        config = setup_hierarchy_config("tscache")
+        batch = VectorHierarchyBatch(config, len(seeds))
+        scalar = []
+        for run, seed in enumerate(seeds):
+            batch.set_seeds(run, seed)
+            hierarchy = CacheHierarchy(config)
+            hierarchy.set_seeds(seed)
+            scalar.append(hierarchy.run_trace(trace))
+        assert batch.run_trace(trace).tolist() == scalar
+        assert replayed_rows == [len(set(seeds))] * 3
+        assert len(set(scalar)) > 1
 
     def test_replay_reads_trace_arrays(self):
         """A Trace and its TraceArrays replay identically."""
