@@ -43,7 +43,6 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import pickle
 import random
 import shutil
 import socket
@@ -81,9 +80,7 @@ class CoordinatorState(DirectoryQueueStore):
     *compound* guarantees the HTTP surface promises — e.g. the
     result-post attempt check and the lease release happen as one
     step, and a ``/requeue`` cannot interleave with the result landing
-    it is checking for.  (Filesystem workers and dispatchers sharing
-    the directory under ``repro serve`` bypass the lock; the store's
-    rename claims and tombstone releases keep them safe.)
+    it is checking for.
     """
 
     def __init__(self, queue_dir: str, *, worker_fresh: float = 5.0) -> None:
@@ -96,12 +93,6 @@ class CoordinatorState(DirectoryQueueStore):
         #: throughput line always describes the serving process.
         self.started = time.time()
         self.results_posted = 0
-        #: Optional :class:`~repro.service.scheduler.CampaignScheduler`
-        #: behind the ``/campaigns`` routes (attached by ``repro
-        #: serve``).  The scheduler has its own lock — campaign routes
-        #: never take ``self.lock``, so a submission can never block a
-        #: worker's claim/result round-trip.
-        self.scheduler = None
         self._return_unstamped_leases()
 
     def _return_unstamped_leases(self) -> None:
@@ -137,16 +128,11 @@ class CoordinatorState(DirectoryQueueStore):
         counter, so ``repro status --coordinator`` can print a
         throughput line without any filesystem access.
         """
-        doc = {
+        return {
             **self.stats(),
             "uptime": round(time.time() - self.started, 3),
             "results_posted": self.results_posted,
         }
-        if self.scheduler is not None:
-            # Per-tenant queue depth / in-flight / dedup hits — the
-            # scheduler takes its own lock, never ``self.lock``.
-            doc["service"] = self.scheduler.stats()
-        return doc
 
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):
@@ -298,23 +284,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             with state.lock:
                 state.set_stop(True)
             return self._send_json(200, {"ok": True})
-        if head == "campaigns" and not rest:
-            scheduler = state.scheduler
-            if scheduler is None:
-                return self._send_json(404, {
-                    "error": "campaign scheduling is not enabled "
-                             "(start the daemon with `repro serve`)"
-                })
-            doc = self._read_json_body()
-            if doc is None:
-                return self._send_json(400, {"error": "bad body"})
-            try:
-                campaign_id = scheduler.submit_doc(doc)
-            except ValueError as exc:
-                return self._send_json(400, {"error": str(exc)})
-            except RuntimeError as exc:  # scheduler closed
-                return self._send_json(503, {"error": str(exc)})
-            return self._send_json(200, {"id": campaign_id})
         return self._send_json(404, {"error": f"no route {self.path}"})
 
     def do_PUT(self) -> None:  # noqa: N802
@@ -348,46 +317,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         if head == "metrics":
             with self.state.lock:
                 return self._send_json(200, self.state.metrics())
-        if head == "campaigns":
-            scheduler = self.state.scheduler
-            if scheduler is None:
-                return self._send_json(
-                    404, {"error": "campaign scheduling is not enabled"}
-                )
-            if not rest:
-                return self._send_json(
-                    200, {"campaigns": scheduler.list_campaigns()}
-                )
-            if len(rest) == 1:
-                try:
-                    after = int(self._query().get("after", "0"))
-                except ValueError:
-                    after = 0
-                doc = scheduler.status_doc(rest[0], after=after)
-                if doc is None:
-                    return self._send_json(
-                        404, {"error": f"no campaign {rest[0]!r}"}
-                    )
-                return self._send_json(200, doc)
-            if len(rest) == 2 and rest[1] == "result":
-                state_name, record = scheduler.result_record(rest[0])
-                if state_name is None:
-                    return self._send_json(
-                        404, {"error": f"no campaign {rest[0]!r}"}
-                    )
-                if record is None:
-                    # 409: the id exists but there is nothing to fetch
-                    # (yet) — running, failed or cancelled.
-                    return self._send_json(
-                        409, {"error": f"campaign is {state_name}",
-                              "state": state_name}
-                    )
-                return self._send_bytes(
-                    200,
-                    pickle.dumps(
-                        record, protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
         return self._send_json(404, {"error": f"no route {self.path}"})
 
     def do_DELETE(self) -> None:  # noqa: N802
@@ -400,18 +329,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             with self.state.lock:
                 self.state.set_stop(False)
             return self._send_json(200, {"ok": True})
-        if head == "campaigns" and rest:
-            scheduler = self.state.scheduler
-            if scheduler is None:
-                return self._send_json(
-                    404, {"error": "campaign scheduling is not enabled"}
-                )
-            if scheduler.status_doc(rest[0]) is None:
-                return self._send_json(
-                    404, {"error": f"no campaign {rest[0]!r}"}
-                )
-            cancelled = scheduler.cancel(rest[0])
-            return self._send_json(200, {"cancelled": cancelled})
         return self._send_json(404, {"error": f"no route {self.path}"})
 
 
@@ -438,8 +355,7 @@ class CoordinatorServer:
     ``port=0`` binds an ephemeral port (see :attr:`url`); a fixed port
     lets a killed coordinator restart at the same address, which is
     what lets in-flight clients ride through on their retry budget.
-    Use :meth:`start` for a background thread (tests, embedding) or
-    :meth:`serve_forever` to donate the calling thread (the CLI).
+    :meth:`start` serves from a background thread.
     """
 
     def __init__(
@@ -473,13 +389,12 @@ class CoordinatorServer:
     def start(self) -> "CoordinatorServer":
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self.serve_forever, daemon=True
+                target=self._httpd.serve_forever,
+                kwargs={"poll_interval": SERVE_POLL_S},
+                daemon=True,
             )
             self._thread.start()
         return self
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever(poll_interval=SERVE_POLL_S)
 
     def shutdown(self) -> None:
         self._httpd.shutdown()

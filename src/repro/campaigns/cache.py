@@ -2,9 +2,9 @@
 
 :class:`ResultCache` is a pickle-per-cell on-disk cache keyed by the
 stable :meth:`~repro.campaigns.spec.ExperimentSpec.spec_hash` — a pure
-content address, so *any* runner (or any tenant of the campaign
-scheduler) that produces a cell's payload produces it at the same key,
-and cross-run/cross-tenant dedup is free by construction.
+content address, so any runner that produces a cell's payload produces
+it at the same key, and two campaigns sharing one ``--cache-dir``
+reuse each other's cells by construction.
 
 Besides whole-cell payloads it stores *per-shard partials*
 (``<hash>.shard.<i>of<k>.<start>-<end>.pkl``) so an interrupted
@@ -20,11 +20,11 @@ intact rename wins).
 cell touches a sidecar lease file (created at admission, refreshed as
 shards land, released when the cell finishes).  :meth:`ResultCache.gc`
 treats a fresh lease as "hands off": it will not sweep the partials or
-early-stop marker of a cell some other runner — a scheduler tenant on
-another host, say — is mid-flight on, no matter how old those files'
-mtimes are.  Leases are best-effort liveness, not locks: a stale lease
-merely delays a sweep by one grace window, and a missing one merely
-costs a recompute.
+early-stop marker of a cell that another campaign sharing the
+``--cache-dir`` — on another host, say — is mid-flight on, no matter
+how old those files' mtimes are.  Leases are best-effort liveness, not
+locks: a stale lease merely delays a sweep by one grace window, and a
+missing one merely costs a recompute.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from repro.campaigns.spec import ExperimentSpec
 from repro.common.fsio import atomic_write_bytes
 from repro.core.batch import Shard, ShardPlan
 
-#: Seconds a lease's mtime may age before gc stops honouring it.  One
-#: order of magnitude above the scheduler's refresh cadence (every
-#: shard completion), so only a genuinely dead campaign loses its
-#: protection.
+#: Seconds a lease's mtime may age before gc stops honouring it.  Far
+#: above the refresh cadence (every shard completion), so only a
+#: genuinely dead campaign loses its protection.
 LEASE_GRACE_SECONDS = 3600.0
 
 
@@ -295,10 +294,10 @@ class ResultCache:
 
         Cells with a *fresh liveness lease* (touched within
         ``lease_grace`` seconds — see :meth:`touch_lease`) are skipped
-        entirely: a campaign another runner or scheduler tenant is
-        actively working may be mid-resume on exactly the partials and
-        markers an age-only sweep would take, and sweeping them would
-        silently convert its resume into a recompute.  Stale lease
+        entirely: a campaign that another runner is actively working
+        may be mid-resume on exactly the partials and markers an
+        age-only sweep would take, and sweeping them would silently
+        convert its resume into a recompute.  Stale lease
         files themselves are swept as litter.
         """
         if max_age_days < 0:

@@ -3,14 +3,10 @@
 :class:`CampaignExecution` is one campaign's complete cell
 book-keeping — cache restore, shard merge, streaming partials, early
 stopping, progress and telemetry — with the *backend driving* factored
-out.  The single-campaign :class:`~repro.campaigns.runner.CampaignRunner`
-submits its units to one backend and feeds completions back; the
-multi-tenant :class:`~repro.service.scheduler.CampaignScheduler`
-interleaves the units of many executions over one shared backend and
-routes each completion to every execution interested in it.  Either
-way the execution sees the same sequence of unit results, so payloads
-are bit-identical across all driving styles (and all completion
-orders — every merge is keyed by shard index, never arrival order).
+out.  :class:`~repro.campaigns.runner.CampaignRunner` submits its
+units to one backend and feeds completions back.  Payloads are
+bit-identical across backends and completion orders: every merge is
+keyed by shard index, never arrival order.
 
 The driving protocol::
 
@@ -32,15 +28,12 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Deque,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
-from collections import deque
 
 from repro.campaigns.cache import ResultCache
 from repro.campaigns.plan import resolved_kernel, shard_plan_for
@@ -85,18 +78,8 @@ class CellState:
 class CampaignExecution:
     """One campaign's cells, driven to completion by unit results.
 
-    Parameters mirror :class:`~repro.campaigns.runner.CampaignRunner`
-    (which delegates here) plus the multi-campaign hooks:
-
-    unit_prefix:
-        Prepended to every unit id — the scheduler namespaces each
-        campaign's units (``{campaign_id}.{stem}``) so many campaigns'
-        units coexist in one work queue / coordinator without
-        collisions.  Filename-safe by construction (dots, dashes).
-    labels:
-        Extra fields merged into every telemetry event this execution
-        emits — the scheduler attaches ``campaign`` and ``tenant`` so
-        multi-tenant journals stay attributable per event.
+    Parameters mirror :class:`~repro.campaigns.runner.CampaignRunner`,
+    which delegates here.
     """
 
     def __init__(
@@ -111,8 +94,6 @@ class CampaignExecution:
         progress: Optional[ProgressFn] = None,
         telemetry=None,
         backend_label: str = "serial",
-        unit_prefix: str = "",
-        labels: Optional[Mapping[str, Any]] = None,
     ) -> None:
         if max_shards_per_cell < 1:
             raise ValueError("max_shards_per_cell must be >= 1")
@@ -127,10 +108,8 @@ class CampaignExecution:
         self.progress = progress
         self.telemetry = telemetry
         self.backend_label = backend_label
-        self.unit_prefix = unit_prefix
-        self.labels = dict(labels) if labels else {}
         self._results: List[Optional[CellResult]] = [None] * len(self.specs)
-        self._units: Deque["WorkUnit"] = deque()
+        self._units: List["WorkUnit"] = []
         self._by_id: Dict[str, Tuple[CellState, Optional[Shard]]] = {}
         #: Wall-clock submit time per outstanding unit id — the
         #: queued→running phase split in unit_done spans.
@@ -146,10 +125,6 @@ class CampaignExecution:
             return
         from repro.telemetry.events import make_event
 
-        if self.labels:
-            merged = dict(self.labels)
-            merged.update(fields)
-            fields = merged
         self.telemetry.emit(make_event(type_, **fields))
 
     def _report(self, event: ProgressEvent) -> None:
@@ -170,7 +145,7 @@ class CampaignExecution:
     def begin(self) -> None:
         """Validate, restore from cache, settle, and plan units.
 
-        After this, :meth:`take_units` (or :meth:`next_unit`) yields
+        After this, :meth:`take_units` yields
         the units a backend must execute; an all-cached campaign
         yields none and is immediately :attr:`done`.
         """
@@ -279,10 +254,7 @@ class CampaignExecution:
         from repro.backends.base import WorkUnit
 
         for cell in pending:
-            stem = (
-                f"{self.unit_prefix}"
-                f"c{cell.index:04d}-{cell.spec.spec_hash()[:12]}"
-            )
+            stem = f"c{cell.index:04d}-{cell.spec.spec_hash()[:12]}"
             if cell.plan is None:
                 unit = WorkUnit(unit_id=stem, spec=cell.spec)
                 self._by_id[unit.unit_id] = (cell, None)
@@ -303,18 +275,8 @@ class CampaignExecution:
 
     def take_units(self) -> List["WorkUnit"]:
         """All not-yet-dispatched units (drains the internal queue)."""
-        units = list(self._units)
-        self._units.clear()
+        units, self._units = self._units, []
         return units
-
-    def next_unit(self) -> Optional["WorkUnit"]:
-        """Pop one not-yet-dispatched unit (scheduler-style driving)."""
-        return self._units.popleft() if self._units else None
-
-    @property
-    def units_pending(self) -> int:
-        """Not-yet-dispatched units still queued in the execution."""
-        return len(self._units)
 
     def note_queued(self, unit: "WorkUnit") -> None:
         """Record one unit's submission (telemetry span start)."""
@@ -336,9 +298,7 @@ class CampaignExecution:
 
         The returned ids are shards made obsolete by an early-stop
         decision — the driver forwards them to its backend's
-        ``cancel_units`` (the scheduler first drops its own interest
-        and cancels on the backend only when no other campaign still
-        wants the unit's content).
+        ``cancel_units``.
         """
         entry = self._by_id.get(result.unit.unit_id)
         if entry is None:

@@ -1,8 +1,8 @@
 """Campaign progress and result types.
 
-The vocabulary shared by every execution surface — the single-campaign
-:class:`~repro.campaigns.runner.CampaignRunner`, the multi-tenant
-:class:`~repro.service.scheduler.CampaignScheduler`, and the progress
+The vocabulary shared by
+:class:`~repro.campaigns.runner.CampaignRunner`, its
+:class:`~repro.campaigns.engine.CampaignExecution` and the progress
 renderers in :mod:`repro.reporting`: what one finished cell looks like
 (:class:`CellResult`), what one unit of progress looks like
 (:class:`ProgressEvent`), and how a whole campaign's cells are

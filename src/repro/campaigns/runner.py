@@ -31,9 +31,7 @@ engine; the pieces live in focused modules:
   :class:`ProgressEvent`, :class:`CampaignResult`,
 * :mod:`repro.campaigns.engine` — :class:`CampaignExecution`, the
   backend-agnostic per-campaign state machine this runner drives over
-  exactly one backend (and the multi-tenant
-  :class:`~repro.service.scheduler.CampaignScheduler` drives many of
-  over one shared backend).
+  exactly one backend.
 
 **Durability** (``cache_dir``): finished cells are skipped on re-runs
 (keyed by :meth:`ExperimentSpec.spec_hash`), and *per-shard partials*

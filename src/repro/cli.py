@@ -705,227 +705,6 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.backends import CoordinatorServer, WorkQueueBackend
-    from repro.campaigns.cache import ResultCache
-    from repro.service import CampaignScheduler
-
-    try:
-        elastic = args.max_workers is not None
-        if args.min_workers is not None and not elastic:
-            raise ValueError("--min-workers needs --max-workers "
-                             "(the elastic pool bounds come as a pair)")
-        if elastic and args.workers is not None:
-            raise ValueError("--workers (fixed pool) and --max-workers "
-                             "(elastic pool) are mutually exclusive")
-        if elastic:
-            pool_kwargs = dict(
-                min_workers=(
-                    1 if args.min_workers is None else args.min_workers
-                ),
-                max_workers=args.max_workers,
-            )
-            pool_desc = (f"elastic {pool_kwargs['min_workers']}.."
-                         f"{args.max_workers}")
-        else:
-            workers = 1 if args.workers is None else args.workers
-            pool_kwargs = dict(spawn_workers=workers)
-            pool_desc = f"{workers} spawned"
-        server = CoordinatorServer(
-            args.queue_dir, host=args.host, port=args.port
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    telemetry = None
-    if args.telemetry or args.journal:
-        from repro.telemetry import RunJournal
-
-        telemetry = (RunJournal(args.journal) if args.journal
-                     else RunJournal.in_dir(args.queue_dir))
-        if not args.quiet:
-            print(f"telemetry journal: {telemetry.path}",
-                  file=sys.stderr)
-
-    # The scheduler dispatches straight onto the queue directory the
-    # coordinator serves: local pool workers claim through the
-    # filesystem, remote hosts join through the HTTP front door, and
-    # both drain the same campaigns.
-    backend = WorkQueueBackend(
-        args.queue_dir,
-        lease_timeout=args.lease_timeout,
-        telemetry=telemetry,
-        **pool_kwargs,
-    )
-    cache_dir = args.cache_dir or os.path.join(args.queue_dir, "cache")
-    scheduler = CampaignScheduler(
-        backend,
-        cache=ResultCache(cache_dir),
-        telemetry=telemetry,
-        tenant_inflight=args.tenant_inflight,
-    )
-    server.state.scheduler = scheduler
-    if not args.quiet:
-        print(f"campaign service on {args.queue_dir} at {server.url} "
-              f"({pool_desc} worker(s), cache {cache_dir})\n"
-              f"submit with: repro submit NAME --service {server.url}\n"
-              f"workers join with: repro worker --coordinator "
-              f"{server.url}",
-              file=sys.stderr, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        scheduler.close()
-        backend.close()
-        server.shutdown()
-    return 0
-
-
-def _service_report(
-    client, campaign_id: str, final: dict, args: argparse.Namespace
-) -> int:
-    """Render a watched campaign's terminal state (shared by
-    ``repro submit --watch`` and ``repro watch``)."""
-    from repro.reporting import format_table, render_json
-
-    state = final.get("state")
-    if state != "done":
-        detail = final.get("error") or ""
-        if args.json:
-            print(render_json({
-                "id": campaign_id,
-                "state": state,
-                "error": detail or None,
-            }))
-        else:
-            print(f"campaign {campaign_id}: {state}"
-                  + (f" ({detail})" if detail else ""),
-                  file=sys.stderr)
-        return 1
-    record = client.result_record(campaign_id)
-    summaries = [cell["summary"] for cell in record["cells"]]
-    if args.json:
-        print(render_json({
-            "id": campaign_id,
-            "tenant": record["tenant"],
-            "state": state,
-            "cells": summaries,
-        }))
-        return 0
-    headers: List[str] = []
-    for summary in summaries:
-        for key in summary:
-            if key not in headers and key not in _TABLE_DETAIL_KEYS:
-                headers.append(key)
-    rows = [
-        [summary.get(key, "") for key in headers] for summary in summaries
-    ]
-    print(format_table(headers, rows))
-    print(f"campaign {campaign_id} ({record['tenant']}): "
-          f"{len(summaries)} cells done")
-    return 0
-
-
-def _watch_campaign(
-    client, campaign_id: str, args: argparse.Namespace
-) -> int:
-    from repro.reporting import format_feed_line
-    from repro.service.client import CampaignNotFound
-
-    on_event = None
-    if not args.quiet:
-        def on_event(event):  # noqa: E306
-            print(format_feed_line(event), file=sys.stderr)
-    try:
-        final = client.watch(
-            campaign_id, on_event=on_event, poll=args.poll
-        )
-    except CampaignNotFound:
-        print(f"error: no campaign {campaign_id!r} at the service "
-              "(restarted daemons forget campaigns)", file=sys.stderr)
-        return 2
-    return _service_report(client, campaign_id, final, args)
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.campaigns import ShardPolicy, build_campaign
-    from repro.service.client import ServiceClient
-
-    try:
-        specs = build_campaign(
-            args.name, num_samples=args.samples, seed=args.seed
-        )
-        if args.shard_policy == "adaptive":
-            policy = ShardPolicy.adaptive(
-                min_block=(1024 if args.shard_min_block is None
-                           else args.shard_min_block),
-                growth=(2.0 if args.shard_growth is None
-                        else args.shard_growth),
-            )
-        else:
-            if args.shard_min_block is not None \
-                    or args.shard_growth is not None:
-                raise ValueError(
-                    "--shard-min-block/--shard-growth need "
-                    "--shard-policy adaptive"
-                )
-            policy = None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    options = {
-        "max_shards_per_cell": args.max_shards,
-        "stream_partials": args.stream_partials,
-        "early_stop": args.early_stop,
-    }
-    if policy is not None:
-        options["shard_policy"] = {
-            "mode": policy.mode,
-            "min_block": policy.min_block,
-            "growth": policy.growth,
-        }
-    client = ServiceClient(args.service)
-    try:
-        campaign_id = client.submit(
-            specs,
-            tenant=args.tenant,
-            weight=args.weight,
-            options=options,
-        )
-    except (OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.watch:
-        if not args.quiet:
-            print(f"submitted {campaign_id} ({args.tenant})",
-                  file=sys.stderr)
-        return _watch_campaign(client, campaign_id, args)
-    if args.json:
-        from repro.reporting import render_json
-
-        print(render_json({"id": campaign_id, "tenant": args.tenant}))
-    else:
-        # Bare id on stdout: `ID=$(repro submit ...)` then watch it.
-        print(campaign_id)
-    return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.service)
-    try:
-        return _watch_campaign(client, args.id, args)
-    except (OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.campaigns.grids import CAMPAIGNS
     from repro.core.setups import SETUP_NAMES
@@ -1128,9 +907,10 @@ def build_parser() -> argparse.ArgumentParser:
     coordinator.add_argument("--port", type=int, default=8642,
                              help="TCP port to bind (default 8642; "
                                   "0 = ephemeral)")
-    coordinator.add_argument("--host", default="0.0.0.0",
-                             help="bind address (default 0.0.0.0 — "
-                                  "reachable by remote workers)")
+    coordinator.add_argument("--host", default="127.0.0.1",
+                             help="bind address (default 127.0.0.1 — "
+                                  "this host only; pass 0.0.0.0 to "
+                                  "let remote workers join)")
     coordinator.add_argument("--min-workers", type=int, default=None,
                              metavar="N",
                              help="colocated elastic pool: never drain "
@@ -1150,130 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "JSONL file in --queue-dir")
     coordinator.add_argument("--quiet", action="store_true",
                              help="suppress the startup banner")
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the campaign service: the coordinator plus a "
-             "multi-tenant campaign scheduler over one shared worker "
-             "fleet and result cache",
-    )
-    serve.add_argument("--queue-dir", required=True,
-                       help="queue directory the service owns (work "
-                            "units, leases, results and — by default "
-                            "— the shared result cache live here)")
-    serve.add_argument("--port", type=int, default=8642,
-                       help="TCP port to bind (default 8642; "
-                            "0 = ephemeral)")
-    serve.add_argument("--host", default="0.0.0.0",
-                       help="bind address (default 0.0.0.0 — "
-                            "reachable by remote workers/clients)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="shared content-addressed result cache "
-                            "(default: QUEUE_DIR/cache); two tenants "
-                            "submitting the same cell share one "
-                            "computation through it")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="fixed local worker pool size (default 1; "
-                            "0 = rely on externally-started 'repro "
-                            "worker' processes; mutually exclusive "
-                            "with --max-workers)")
-    serve.add_argument("--min-workers", type=int, default=None,
-                       metavar="N",
-                       help="elastic pool: never drain below N local "
-                            "workers (default 1; needs --max-workers)")
-    serve.add_argument("--max-workers", type=int, default=None,
-                       metavar="N",
-                       help="elastic local pool: grow toward N with "
-                            "queue pressure, retire surplus when the "
-                            "queue drains (replaces --workers)")
-    serve.add_argument("--lease-timeout", type=float, default=60.0,
-                       help="seconds without a worker heartbeat "
-                            "before a claimed unit is re-enqueued")
-    serve.add_argument("--tenant-inflight", type=int, default=2,
-                       help="per-tenant cap on dispatched-but-"
-                            "unfinished units — the knob that stops "
-                            "one tenant's giant grid from occupying "
-                            "every worker (default 2)")
-    serve.add_argument("--telemetry", action="store_true",
-                       help="journal scheduler + queue events "
-                            "(campaign lifecycle, dedup cache hits, "
-                            "requeues) to a stamped JSONL file in "
-                            "--queue-dir")
-    serve.add_argument("--journal", default=None, metavar="PATH",
-                       help="telemetry journal path (implies "
-                            "--telemetry)")
-    serve.add_argument("--quiet", action="store_true",
-                       help="suppress the startup banner")
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a named campaign to a 'repro serve' service",
-    )
-    submit.add_argument("name", choices=sorted(CAMPAIGNS),
-                        help="grid to submit")
-    submit.add_argument("--service", required=True, metavar="URL",
-                        help="campaign service base URL (repro serve)")
-    submit.add_argument("--tenant", default="default",
-                        help="tenant name for fair-share scheduling "
-                             "and telemetry labels (default "
-                             "'default')")
-    submit.add_argument("--weight", type=float, default=1.0,
-                        help="fair-share weight: a weight-2 tenant "
-                             "gets twice the dispatch share of a "
-                             "weight-1 tenant under contention")
-    submit.add_argument("--samples", type=int, default=None,
-                        help="samples (or runs) per cell; campaign "
-                             "default when omitted")
-    submit.add_argument("--seed", type=int, default=None,
-                        help="campaign root seed")
-    submit.add_argument("--max-shards", type=int, default=1,
-                        help="split each shardable cell into up to N "
-                             "intra-cell shards")
-    submit.add_argument("--shard-policy", default="even",
-                        choices=("even", "adaptive"),
-                        help="shard geometry (see 'repro campaign')")
-    submit.add_argument("--shard-min-block", type=int, default=None,
-                        metavar="N",
-                        help="adaptive policy: first-shard samples "
-                             "(default 1024)")
-    submit.add_argument("--shard-growth", type=float, default=None,
-                        metavar="G",
-                        help="adaptive policy: consecutive-shard "
-                             "size ratio (default 2.0)")
-    submit.add_argument("--stream-partials", action="store_true",
-                        help="stream merged partial summaries into "
-                             "the watch feed as shard prefixes "
-                             "complete")
-    submit.add_argument("--early-stop", action="store_true",
-                        help="let the kind's stopping rule cancel a "
-                             "cell's remaining shards once the "
-                             "verdict is decided")
-    submit.add_argument("--watch", action="store_true",
-                        help="stay attached: stream the progress feed "
-                             "and print the result table when done "
-                             "(default: print the campaign id and "
-                             "exit)")
-    submit.add_argument("--poll", type=float, default=0.2,
-                        help="watch poll interval in seconds")
-    submit.add_argument("--json", action="store_true",
-                        help="emit JSON instead of a table/bare id")
-    submit.add_argument("--quiet", action="store_true",
-                        help="suppress the progress feed on stderr")
-
-    watch = sub.add_parser(
-        "watch",
-        help="attach to a submitted campaign: stream its progress "
-             "feed and print the result when it finishes",
-    )
-    watch.add_argument("id", help="campaign id (from 'repro submit')")
-    watch.add_argument("--service", required=True, metavar="URL",
-                       help="campaign service base URL (repro serve)")
-    watch.add_argument("--poll", type=float, default=0.2,
-                       help="poll interval in seconds")
-    watch.add_argument("--json", action="store_true",
-                       help="emit JSON instead of a table")
-    watch.add_argument("--quiet", action="store_true",
-                       help="suppress the progress feed on stderr")
 
     trace = sub.add_parser(
         "trace",
@@ -1319,9 +975,6 @@ _COMMANDS = {
     "campaign": _cmd_campaign,
     "worker": _cmd_worker,
     "coordinator": _cmd_coordinator,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "watch": _cmd_watch,
     "trace": _cmd_trace,
     "status": _cmd_status,
 }

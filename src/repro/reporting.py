@@ -287,37 +287,6 @@ def campaign_totals(specs: Sequence[Any]) -> tuple:
     return len(specs), sum(cell_weight(spec) for spec in specs)
 
 
-def format_feed_line(event: Mapping[str, Any]) -> str:
-    """One ``repro watch`` line from a campaign-service feed event.
-
-    Feed events are the scheduler's serialized
-    :class:`~repro.campaigns.results.ProgressEvent` docs (cell / shard
-    / partial, see ``CampaignScheduler.status_doc``); the rendering
-    mirrors :class:`CampaignProgress` lines — label, work, compute
-    seconds — with cache restores and streamed partial summaries
-    called out.
-    """
-    kind = event.get("event", "?")
-    label = event.get("label") or event.get("cell", "?")
-    parts = [f"[{event.get('seq', '?'):>4}]", f"{kind:<7}", label]
-    if event.get("from_cache"):
-        parts.append("(cached)")
-    elif kind != "partial":
-        parts.append(f"({format_duration(float(event.get('elapsed', 0.0)))})")
-    if kind == "partial" and event.get("summary"):
-        summary = event["summary"]
-        interesting = {
-            k: v for k, v in summary.items()
-            if k not in ("kind", "setup", "num_samples", "seed",
-                         "elapsed_s", "from_cache")
-        }
-        if interesting:
-            parts.append(
-                " ".join(f"{k}={v}" for k, v in interesting.items())
-            )
-    return " ".join(str(p) for p in parts)
-
-
 def run_header(note: str = "") -> str:
     """A one-line delimiter stamping one process run of a results file."""
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

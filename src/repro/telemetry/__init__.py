@@ -1,12 +1,11 @@
 """Campaign telemetry: structured tracing, metrics, run journals,
 and fleet introspection.
 
-The observability layer the ROADMAP's feedback-controlled scheduling
-builds on.  Everything here is opt-in and observer-only: campaigns
-run with ``telemetry=None`` by default (zero event construction on
-the hot path), and enabling a sink never changes a payload byte —
-phase timings travel in execution-only result-doc metadata, outside
-spec identity.
+Everything here is opt-in and observer-only: campaigns run with
+``telemetry=None`` by default (zero event construction on the hot
+path), and enabling a sink never changes a payload byte — phase
+timings travel in execution-only result-doc metadata, outside spec
+identity.
 """
 
 from repro.telemetry.events import (

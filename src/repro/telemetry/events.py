@@ -45,18 +45,6 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     # machine-readable envelope-probe verdict (never a silent fallback).
     "kernel_fallback": frozenset({"cell", "kernel", "reason"}),
     "cell_done": frozenset({"cell", "elapsed"}),
-    # -- the campaign service (CampaignScheduler) ----------------------------
-    # One tenant's campaign entering the multi-campaign scheduler.
-    # Every event a scheduled campaign emits additionally carries
-    # ``campaign`` and ``tenant`` labels; a dedup single-flight join
-    # rides the existing ``cache_hit`` type with ``dedup: true`` and
-    # the primary unit id.
-    "campaign_submitted": frozenset({"campaign", "tenant", "cells"}),
-    # Terminal settlement: state is done | failed | cancelled.
-    "campaign_done": frozenset(
-        {"campaign", "tenant", "cells", "state", "elapsed"}
-    ),
-    "campaign_cancelled": frozenset({"campaign", "tenant"}),
     # -- queue fault recovery (WorkQueueBackend / HttpQueueBackend) ----------
     # A lease aged past half its timeout without expiring — the early
     # warning that a worker is struggling (one per unit attempt).

@@ -172,24 +172,4 @@ def render_status(doc: Dict[str, Any]) -> str:
             [[l["unit"], l.get("worker") or "(claiming)",
               f"{l['age']:.1f}s"] for l in leases],
         ))
-    service = doc.get("service")
-    if service:
-        campaigns = service.get("campaigns", {})
-        out.append("")
-        out.append(
-            f"campaign service: {campaigns.get('active', 0)} active / "
-            f"{campaigns.get('total', 0)} total campaign(s), "
-            f"{service.get('inflight_units', 0)} unit(s) in flight"
-        )
-        tenants = service.get("tenants", {})
-        if tenants:
-            out.append(format_table(
-                ["tenant", "weight", "campaigns", "finished",
-                 "queued", "in flight", "dispatched", "dedup hits"],
-                [[name, t.get("weight", 1.0), t.get("campaigns", 0),
-                  t.get("finished", 0), t.get("queued", 0),
-                  t.get("inflight", 0), t.get("dispatched_units", 0),
-                  t.get("dedup_hits", 0)]
-                 for name, t in sorted(tenants.items())],
-            ))
     return "\n".join(out)

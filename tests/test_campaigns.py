@@ -740,9 +740,10 @@ class TestResultCacheWriteRace:
 
 
 class TestResultCacheLeases:
-    """GC liveness gating: entries/partials/markers of a cell some
-    runner or scheduler tenant is actively working (fresh ``.lease``)
-    must survive any sweep, however aggressive."""
+    """GC liveness gating: two CLI campaigns can share one
+    ``--cache-dir``, so the entries/partials/markers of a cell that
+    one of them is actively working (fresh ``.lease``) must survive
+    the other's sweep, however aggressive."""
 
     def _spec(self, seed=1):
         return ExperimentSpec(
@@ -785,9 +786,10 @@ class TestResultCacheLeases:
     def test_active_tenant_partials_survive_aggressive_gc(
         self, tmp_path
     ):
-        """The scheduler-tenant regression: tenant A is mid-campaign
-        (partials on disk, lease fresh) while tenant B runs an
-        everything-goes gc — A's resume state must survive."""
+        """Campaign A is mid-run (partials on disk, lease fresh) when
+        campaign B, sharing the same ``--cache-dir``, runs an
+        everything-goes ``--cache-gc 0`` — A's resume state must
+        survive."""
         import repro.core.batch as batch
 
         cache = ResultCache(str(tmp_path))

@@ -149,11 +149,20 @@ class TestParser:
         )
         assert args.queue_dir == "/tmp/q"
         assert args.port == 8642
-        assert args.host == "0.0.0.0"
+        # Loopback only unless asked: the coordinator has no
+        # authentication, so remote workers need an explicit --host.
+        assert args.host == "127.0.0.1"
         assert args.min_workers is None
         assert args.max_workers is None
         with pytest.raises(SystemExit):
             build_parser().parse_args(["coordinator"])  # queue-dir required
+
+    @pytest.mark.parametrize("command", ["serve", "submit", "watch"])
+    def test_campaign_service_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--queue-dir", "q"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_campaign_http_backend_flags(self):
         args = build_parser().parse_args([

@@ -197,6 +197,16 @@ class TestWireProtocol:
         status, _ = client.request_json("GET", "/nonsense")
         assert status == 404
 
+    def test_campaign_routes_are_gone(self, server):
+        client = make_client(server)
+        for method, path in (("POST", "/campaigns"),
+                             ("GET", "/campaigns"),
+                             ("GET", "/campaigns/x/result"),
+                             ("DELETE", "/campaigns/x")):
+            status, doc = client.request_json(method, path, json_body={})
+            assert status == 404
+            assert doc["error"] == f"no route {path}"
+
     def test_stats_reports_fleet_by_host(self, server):
         client = make_client(server)
         unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))

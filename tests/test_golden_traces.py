@@ -62,15 +62,6 @@ GOLDEN_ELASTIC = os.environ.get("REPRO_GOLDEN_ELASTIC", "") == "1"
 #: digests above prove telemetry never touches a payload byte.
 GOLDEN_TELEMETRY = os.environ.get("REPRO_GOLDEN_TELEMETRY", "") == "1"
 
-#: With REPRO_GOLDEN_SERVE=1 every golden campaign run goes through
-#: the full campaign service: an in-process ``repro serve`` stack
-#: (CoordinatorServer + CampaignScheduler over a spawned-worker
-#: WorkQueueBackend), submitted and collected over HTTP by a
-#: ServiceClient — the acceptance proof that the multi-tenant
-#: scheduler and the result-record wire format cannot perturb a
-#: single frozen payload byte.
-GOLDEN_SERVE = os.environ.get("REPRO_GOLDEN_SERVE", "") == "1"
-
 
 def golden_policy() -> ShardPolicy:
     if GOLDEN_SHARD_POLICY == "adaptive":
@@ -107,83 +98,13 @@ def _golden_journal():
             pass
 
 
-class _ServeGoldenRunner:
-    """Duck-types ``CampaignRunner.run`` through a live campaign
-    service: submit over HTTP, wait, rebuild the cells from the
-    pickled result record."""
-
-    def __init__(self, url: str, policy: ShardPolicy, max_shards: int):
-        from repro.service.client import ServiceClient
-
-        self.client = ServiceClient(url)
-        self.policy = policy
-        self.max_shards = max_shards
-
-    def run(self, specs):
-        from repro.campaigns.results import CampaignResult
-        from repro.service.client import cells_from_record
-
-        options = {
-            "max_shards_per_cell": self.max_shards,
-            "shard_policy": {
-                "mode": self.policy.mode,
-                "min_block": self.policy.min_block,
-                "growth": self.policy.growth,
-            },
-        }
-        campaign_id = self.client.submit(
-            list(specs), tenant="golden", options=options
-        )
-        state = self.client.wait(campaign_id, timeout=600.0)
-        assert state == "done", (
-            f"served campaign {campaign_id} ended {state}: "
-            f"{self.client.status(campaign_id).get('error')}"
-        )
-        return CampaignResult(
-            cells=cells_from_record(
-                self.client.result_record(campaign_id)
-            )
-        )
-
-
 @contextlib.contextmanager
 def golden_runner(**kwargs):
     """A CampaignRunner on the backend CI asked for (env knobs above)."""
     kwargs.setdefault("shard_policy", golden_policy())
     with _golden_journal() as journal:
         kwargs["telemetry"] = journal
-        if GOLDEN_SERVE:
-            from repro.backends import CoordinatorServer, WorkQueueBackend
-            from repro.campaigns.cache import ResultCache
-            from repro.service import CampaignScheduler
-
-            with tempfile.TemporaryDirectory(
-                prefix="repro-golden-serve-"
-            ) as qdir:
-                backend = WorkQueueBackend(
-                    qdir,
-                    spawn_workers=max(2, GOLDEN_WORKERS),
-                    lease_timeout=300.0,
-                    telemetry=journal,
-                )
-                scheduler = CampaignScheduler(
-                    backend,
-                    cache=ResultCache(os.path.join(qdir, "cache")),
-                    telemetry=journal,
-                )
-                server = CoordinatorServer(qdir).start()
-                server.state.scheduler = scheduler
-                try:
-                    yield _ServeGoldenRunner(
-                        server.url,
-                        kwargs.get("shard_policy") or golden_policy(),
-                        kwargs.get("max_shards_per_cell", 1),
-                    )
-                finally:
-                    scheduler.close()
-                    backend.close()
-                    server.shutdown()
-        elif GOLDEN_BACKEND == "workqueue":
+        if GOLDEN_BACKEND == "workqueue":
             from repro.backends import WorkQueueBackend
 
             with tempfile.TemporaryDirectory(

@@ -102,6 +102,28 @@ class TestEvents:
         ):
             assert name in EVENT_SCHEMA
 
+    def test_every_event_type_has_an_emitter(self):
+        """No dead vocabulary: each schema type appears as a string
+        literal in some ``repro`` module besides the schema itself."""
+        import ast
+        import pathlib
+
+        import repro
+        import repro.telemetry.events as events_module
+
+        schema_path = pathlib.Path(events_module.__file__).resolve()
+        literals = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            if path.resolve() == schema_path:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            literals.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+            )
+        assert sorted(set(EVENT_SCHEMA) - literals) == []
+
 
 class TestSinks:
     def test_journal_round_trip(self, tmp_path):
