@@ -9,11 +9,15 @@ Paper outcomes (10^7 samples/party on a native-code simulator):
     MBPTACache     : different bytes vulnerable: 2^104
     TSCache        : nothing disclosed: 2^128
 
-Shape reproduced here (3x10^5 samples/party; magnitudes scale with
-sample count, see EXPERIMENTS.md): deterministic leaks heavily on the
-Te1/Te2 bytes; RPCache leaks a weaker subset of the same bytes;
-MBPTACache leaks on a seed-dependent (different) byte set; TSCache
-discards nothing.
+Shape reproduced here (3x10^5 samples/party): deterministic leaks
+heavily on the Te1/Te2 bytes; RPCache leaks a weaker subset of the
+same bytes; MBPTACache leaks on a seed-dependent (different) byte set;
+TSCache discards nothing.  The magnitudes are not the paper's, and
+more samples do not move them towards it: the sample count is part of
+each cell's identity, so every budget draws a different stream.  At
+root seed 2018 the remaining key space (log2) reads 98.93, 118.54,
+79.36 and 128 at 3x10^5 samples and 102.18, 111.73, 77.49 and 128 at
+3x10^6 (deterministic, RPCache, MBPTACache, TSCache).
 """
 
 import pytest

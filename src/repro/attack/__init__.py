@@ -6,6 +6,7 @@ engine that makes the contention attacks shardable campaign kinds."""
 from repro.attack.bernstein import (
     BernsteinAttack,
     BernsteinResult,
+    ProfileSums,
     TimingProfile,
     profile_from_samples,
 )
@@ -25,6 +26,7 @@ from repro.attack.trials import (
 )
 
 __all__ = [
+    "ProfileSums",
     "TimingProfile",
     "profile_from_samples",
     "BernsteinAttack",

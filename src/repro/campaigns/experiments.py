@@ -4,9 +4,12 @@ Each kind is a module-level function from :class:`ExperimentSpec` to a
 picklable payload, registered under a stable name:
 
 ``bernstein``
-    The full Bernstein case study (§6.1-§6.2.1) on one setup: collect
-    both parties' samples, run the correlation attack, grade the key
-    space.  Payload: :class:`repro.core.simulator.CaseStudyResult`.
+    The full Bernstein case study (§6.1-§6.2.1) on one setup: reduce
+    both parties' samples to profile sums, run the correlation attack,
+    grade the key space.  Payload:
+    :class:`repro.core.simulator.CaseStudyResult`, a fixed size at any
+    sample count; shards carry :class:`~repro.core.batch.ShardSums`
+    and merge by addition.
 ``timing_samples``
     One party's raw :class:`TimingSamples` on a setup (the Figure 4
     per-value timing-variation substrate).
@@ -63,8 +66,10 @@ from repro.core.batch import (
     ShardPlan,
     ShardPolicy,
     ShardSamples,
+    ShardSums,
     TimingSamples,
     merge_shard_samples,
+    merge_shard_sums,
 )
 from repro.core.setups import (
     SetupConfig,
@@ -72,6 +77,7 @@ from repro.core.setups import (
     make_setup_hierarchy,
     setup_hierarchy_config,
 )
+from repro.core.simulator import BernsteinCaseStudy, CaseStudyResult
 from repro.mbpta.analysis import MBPTAAnalysis, MBPTAReport
 from repro.workloads.generators import (
     matrix_walk_trace,
@@ -193,8 +199,6 @@ def _bernstein_study(spec: ExperimentSpec):
     Every shard worker (and the merge step) builds the same object
     from the spec alone: same engine entropy root, same resolved keys.
     """
-    from repro.core.simulator import BernsteinCaseStudy
-
     return BernsteinCaseStudy(
         resolve_setup(spec),
         num_samples=spec.num_samples,
@@ -218,19 +222,20 @@ def plan_bernstein_shards(
 
 def run_bernstein_shard(
     spec: ExperimentSpec, shard: Shard
-) -> Dict[str, ShardSamples]:
-    """Both parties' sample slice for one shard."""
+) -> Dict[str, ShardSums]:
+    """Both parties' profile sums over one shard."""
     study = _bernstein_study(spec)
     victim_key, attacker_key = study.resolve_keys(
         _key_param(spec, "victim_key"), _key_param(spec, "attacker_key")
     )
     campaign_seed = _engine_campaign_seed(spec)
     return {
-        "attacker": study.engine.collect_shard(
+        "attacker": study.engine.collect_shard_sums(
             attacker_key, spec.num_samples, shard,
             party="attacker", campaign_seed=campaign_seed,
+            index_key=attacker_key,
         ),
-        "victim": study.engine.collect_shard(
+        "victim": study.engine.collect_shard_sums(
             victim_key, spec.num_samples, shard,
             party="victim", campaign_seed=campaign_seed,
         ),
@@ -238,33 +243,34 @@ def run_bernstein_shard(
 
 
 def merge_bernstein_shards(
-    spec: ExperimentSpec, parts: Sequence[Dict[str, ShardSamples]]
-):
+    spec: ExperimentSpec,
+    parts: Sequence[Dict[str, ShardSums]],
+    *,
+    partial: bool = False,
+) -> CaseStudyResult:
+    """The cell's result from the sum of its shards' sums."""
     study = _bernstein_study(spec)
     victim_key, _ = study.resolve_keys(
         _key_param(spec, "victim_key"), _key_param(spec, "attacker_key")
     )
-    victim_samples = merge_shard_samples([p["victim"] for p in parts])
-    attacker_samples = merge_shard_samples([p["attacker"] for p in parts])
-    return study.attack(victim_samples, attacker_samples, victim_key)
+    return CaseStudyResult(
+        setup=study.setup,
+        victim_sums=merge_shard_sums(
+            [p["victim"] for p in parts], partial=partial
+        ),
+        attacker_sums=merge_shard_sums(
+            [p["attacker"] for p in parts], partial=partial
+        ),
+        victim_key=victim_key,
+    )
 
 
 def merge_bernstein_partial(
-    spec: ExperimentSpec, parts: Sequence[Dict[str, ShardSamples]]
-):
+    spec: ExperimentSpec, parts: Sequence[Dict[str, ShardSums]]
+) -> CaseStudyResult:
     """The correlation attack over a contiguous prefix of the budget —
     an incremental Figure 5 data point at a smaller sample count."""
-    study = _bernstein_study(spec)
-    victim_key, _ = study.resolve_keys(
-        _key_param(spec, "victim_key"), _key_param(spec, "attacker_key")
-    )
-    victim = merge_shard_samples(
-        [p["victim"] for p in parts], partial=True
-    )
-    attacker = merge_shard_samples(
-        [p["attacker"] for p in parts], partial=True
-    )
-    return study.attack(victim, attacker, victim_key)
+    return merge_bernstein_shards(spec, parts, partial=True)
 
 
 @register_experiment(

@@ -35,11 +35,13 @@ import numpy as np
 #: seeds — pre-sharding cached payloads are not reproducible by the
 #: current engine.  3: the Ljung-Box p-value comes from a closed-form
 #: chi-square tail, so cached pwcet payloads' full-precision p-values
-#: differ from the old library call's in the last bits.)  The bump changes every
-#: spec_hash, so stale entries are simply never looked up again; it
-#: does NOT perturb seed_sequence(), which hashes the cell identity
-#: without the schema version.
-SPEC_SCHEMA_VERSION = 3
+#: differ from the old library call's in the last bits.  4: bernstein
+#: payloads carry both parties' profile sums instead of their raw
+#: samples, so a cached payload of the old type no longer fits.)  The
+#: bump changes every spec_hash, so stale entries are simply never
+#: looked up again; it does NOT perturb seed_sequence(), which hashes
+#: the cell identity without the schema version.
+SPEC_SCHEMA_VERSION = 4
 
 ParamItems = Tuple[Tuple[str, Any], ...]
 

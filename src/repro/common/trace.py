@@ -4,7 +4,9 @@ The simulator is trace driven: programs are represented as sequences of
 :class:`MemoryAccess` records (the paper's SoCLib simulator is cycle
 accurate, but all timing variation studied by the paper originates in
 the memory hierarchy, so a trace-driven model preserves the behaviour
-of interest — see DESIGN.md §2).
+of interest: the AES timing engine, :mod:`repro.core.batch`, charges
+each encryption a fixed pipeline-and-hit cost plus one L2 penalty per
+cold table line it touches).
 """
 
 from __future__ import annotations

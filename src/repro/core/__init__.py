@@ -8,9 +8,11 @@ from repro.core.batch import (
     Shard,
     ShardPlan,
     ShardSamples,
+    ShardSums,
     TimingSamples,
     lookup_line_ids,
     merge_shard_samples,
+    merge_shard_sums,
 )
 from repro.core.setups import (
     SETUP_NAMES,
@@ -31,9 +33,11 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "ShardSamples",
+    "ShardSums",
     "TimingSamples",
     "lookup_line_ids",
     "merge_shard_samples",
+    "merge_shard_sums",
     "BernsteinCaseStudy",
     "CaseStudyResult",
     "TSCacheSystem",

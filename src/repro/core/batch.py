@@ -53,6 +53,15 @@ bit from the same masks.
    the serial :meth:`AESTimingEngine.collect` path, for any shard count
    and any completion order.
 
+4. **Profile sums in constant memory.**  The Bernstein attack needs
+   only per-(byte position, value) timing sums, so
+   :meth:`AESTimingEngine.collect_sums` and
+   :meth:`~AESTimingEngine.collect_shard_sums` reduce each run of
+   samples to :class:`~repro.attack.bernstein.ProfileSums` as soon as
+   it is computed, and :func:`merge_shard_sums` adds shards back.
+   Runs come from the same generator as :meth:`~AESTimingEngine.collect`,
+   so the sums are those of the samples the goldens pin.
+
 The consistency of (1)+(2) against the scalar hierarchy is covered by
 integration tests (``tests/test_batch.py``), which also pin the batched
 cold-line pass to the scalar oracle on every setup; the shard/serial
@@ -63,10 +72,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.attack.bernstein import ProfileSums
 from repro.common.prng import XorShift128
 from repro.common.trace import MemoryAccess
 from repro.cache.core import (
@@ -106,7 +116,9 @@ OTHER_PID = 7
 #: Epochs per batched cache pass in :meth:`ColdLineModel.epoch_states`.
 #: Caps the pass's ``(lanes, sets, ways)`` state at a few MiB (about
 #: 13 KiB per lane at the ARM920T L1 geometry) whatever the budget.
-EPOCH_LANES = 512
+#: A 300,000-sample collection with random replacement already fills
+#: one pass, so its peak memory equals that of any larger budget.
+EPOCH_LANES = 256
 
 #: Access steps whose sets one placement call maps for every lane.
 _MAP_STEPS = 64
@@ -441,22 +453,23 @@ class ShardSamples:
             raise ValueError("timings do not match the shard range")
 
 
-def merge_shard_samples(
-    parts: Sequence[ShardSamples], *, partial: bool = False
-) -> TimingSamples:
-    """Reassemble a full :class:`TimingSamples` from every shard.
+@dataclass
+class ShardSums:
+    """One shard's profile sums (see :func:`merge_shard_sums`)."""
 
-    Accepts the parts in **any** order (they are sorted by shard
-    index); validates that together they tile ``[0, total_samples)``
-    exactly and belong to one collection (same key/setup/budget).
+    shard: Shard
+    sums: ProfileSums
+    key: bytes
+    setup_name: str
+    total_samples: int
 
-    With ``partial=True`` the parts may instead be a contiguous
-    *prefix* of the plan (shards 0..k-1 of n): the result then holds
-    only the first ``parts[k-1].shard.end`` samples — the streaming-
-    merge substrate that lets reporting surface attack results before
-    a cell finishes.  Because every shard's randomness is keyed to its
-    absolute positions, the prefix equals the first samples of the
-    full collection bit for bit.
+
+def _tiled(parts: Sequence, partial: bool) -> list:
+    """``parts`` in shard-index order, checked to tile one collection.
+
+    Every part must come from the same collection (key, setup and
+    budget) and together they must cover ``[0, total_samples)``
+    exactly — or, with ``partial=True``, a contiguous prefix of it.
     """
     if not parts:
         raise ValueError("no shards to merge")
@@ -484,12 +497,47 @@ def merge_shard_samples(
         raise ValueError(
             f"shards cover [0, {cursor}), budget is {first.total_samples}"
         )
+    return ordered
+
+
+def merge_shard_samples(
+    parts: Sequence[ShardSamples], *, partial: bool = False
+) -> TimingSamples:
+    """Reassemble a full :class:`TimingSamples` from every shard.
+
+    Accepts the parts in **any** order (they are sorted by shard
+    index); validates that together they tile ``[0, total_samples)``
+    exactly and belong to one collection (same key/setup/budget).
+
+    With ``partial=True`` the parts may instead be a contiguous
+    *prefix* of the plan (shards 0..k-1 of n): the result then holds
+    only the first ``parts[k-1].shard.end`` samples — the streaming-
+    merge substrate that lets reporting surface attack results before
+    a cell finishes.  Because every shard's randomness is keyed to its
+    absolute positions, the prefix equals the first samples of the
+    full collection bit for bit.
+    """
+    ordered = _tiled(parts, partial)
     return TimingSamples(
         plaintexts=np.concatenate([p.plaintexts for p in ordered], axis=0),
         timings=np.concatenate([p.timings for p in ordered]),
-        key=first.key,
-        setup_name=first.setup_name,
+        key=ordered[0].key,
+        setup_name=ordered[0].setup_name,
     )
+
+
+def merge_shard_sums(
+    parts: Sequence[ShardSums], *, partial: bool = False
+) -> ProfileSums:
+    """The profile sums of a whole collection (or, with
+    ``partial=True``, of a contiguous prefix of it), summed in
+    shard-index order from parts given in any order — checked like
+    :func:`merge_shard_samples`."""
+    ordered = _tiled(parts, partial)
+    merged = ordered[0].sums
+    for part in ordered[1:]:
+        merged = merged + part.sums
+    return merged
 
 
 class ColdLineModel:
@@ -929,6 +977,62 @@ class AESTimingEngine:
         merging every shard of a plan with :func:`merge_shard_samples`
         reproduces :meth:`collect` byte for byte.
         """
+        self._check_shard(num_samples, shard)
+        plaintexts, timings = self._collect_range(
+            key, num_samples, shard.start, shard.end, party, campaign_seed
+        )
+        return ShardSamples(
+            shard=shard,
+            plaintexts=plaintexts,
+            timings=timings,
+            key=key,
+            setup_name=self.setup.name,
+            total_samples=num_samples,
+        )
+
+    def collect_sums(
+        self,
+        key: bytes,
+        num_samples: int,
+        party: str = "victim",
+        campaign_seed: int = 0xC0DE,
+        index_key: Optional[bytes] = None,
+    ) -> ProfileSums:
+        """The profile sums of :meth:`collect`'s samples.
+
+        Each sample is indexed by its plaintext, or with ``index_key``
+        by ``plaintext ^ index_key`` (the study phase's index).  The
+        sums equal :meth:`ProfileSums.from_samples` over the collected
+        samples, but are accumulated run by run, so no more than one
+        ``chunk_size`` of samples is ever held.
+        """
+        if num_samples <= 0:
+            raise ValueError("num_samples must be positive")
+        return self._sum_range(key, num_samples, 0, num_samples, party,
+                               campaign_seed, index_key)
+
+    def collect_shard_sums(
+        self,
+        key: bytes,
+        num_samples: int,
+        shard: Shard,
+        party: str = "victim",
+        campaign_seed: int = 0xC0DE,
+        index_key: Optional[bytes] = None,
+    ) -> ShardSums:
+        """One shard's :meth:`collect_sums`; merging every shard of a
+        plan with :func:`merge_shard_sums` reproduces it byte for byte."""
+        self._check_shard(num_samples, shard)
+        return ShardSums(
+            shard=shard,
+            sums=self._sum_range(key, num_samples, shard.start, shard.end,
+                                 party, campaign_seed, index_key),
+            key=key,
+            setup_name=self.setup.name,
+            total_samples=num_samples,
+        )
+
+    def _check_shard(self, num_samples: int, shard: Shard) -> None:
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         if shard.end > num_samples:
@@ -943,17 +1047,6 @@ class AESTimingEngine:
                     f"shard boundary {position} is not block-aligned "
                     "(use AESTimingEngine.shard_plan)"
                 )
-        plaintexts, timings = self._collect_range(
-            key, num_samples, shard.start, shard.end, party, campaign_seed
-        )
-        return ShardSamples(
-            shard=shard,
-            plaintexts=plaintexts,
-            timings=timings,
-            key=key,
-            setup_name=self.setup.name,
-            total_samples=num_samples,
-        )
 
     def _collect_range(
         self,
@@ -965,62 +1058,133 @@ class AESTimingEngine:
         campaign_seed: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(plaintexts, timings) for samples ``[lo, hi)`` of the budget."""
-        aes = AES128(key)
         plaintexts = np.empty((hi - lo, 16), dtype=np.uint8)
+        timings = np.empty(hi - lo, dtype=float)
+        for start, run_plaintexts, run_timings in self._sample_runs(
+            key, num_samples, lo, hi, party, campaign_seed
+        ):
+            plaintexts[start:start + len(run_timings)] = run_plaintexts
+            timings[start:start + len(run_timings)] = run_timings
+        return plaintexts, timings
+
+    def _sum_range(
+        self,
+        key: bytes,
+        num_samples: int,
+        lo: int,
+        hi: int,
+        party: str,
+        campaign_seed: int,
+        index_key: Optional[bytes],
+    ) -> ProfileSums:
+        """:class:`ProfileSums` of samples ``[lo, hi)`` of the budget."""
+        xor = (
+            None if index_key is None
+            else np.frombuffer(index_key, dtype=np.uint8)
+        )
+        sums = ProfileSums.zeros()
+        for _, plaintexts, timings in self._sample_runs(
+            key, num_samples, lo, hi, party, campaign_seed
+        ):
+            sums.add(plaintexts if xor is None else plaintexts ^ xor,
+                     timings)
+        return sums
+
+    def _sample_runs(
+        self,
+        key: bytes,
+        num_samples: int,
+        lo: int,
+        hi: int,
+        party: str,
+        campaign_seed: int,
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Samples ``[lo, hi)`` of the budget, one run at a time.
+
+        Yields ``(start, plaintexts, timings)`` per run of at most
+        ``chunk_size`` samples, ``start`` relative to ``lo``.
+        """
+        aes = AES128(key)
+        all_blocks = self.epoch_blocks(num_samples, party, campaign_seed,
+                                       lo, hi)
+        # The cold states of EPOCH_LANES blocks at a time (one batched
+        # cache pass), so memory stays flat in the budget.  A row's
+        # timing depends only on its own block and stream, never on
+        # how rows are grouped into runs.
+        for first in range(0, len(all_blocks), EPOCH_LANES):
+            blocks = all_blocks[first:first + EPOCH_LANES]
+            yield from self._block_runs(aes, blocks, lo, hi, party,
+                                        campaign_seed)
+
+    def _block_runs(
+        self,
+        aes: AES128,
+        blocks: Sequence[Tuple[int, int, int, Tuple[int, int, bool, int]]],
+        lo: int,
+        hi: int,
+        party: str,
+        campaign_seed: int,
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """:meth:`_sample_runs` over the samples of some cold-state
+        ``blocks`` (entries of :meth:`epoch_blocks`)."""
         rng_block = self.config.rng_block
-        blocks = self.epoch_blocks(num_samples, party, campaign_seed, lo, hi)
         colds, line_sets = self.cold_model.epoch_states(
             [epoch for _, _, _, epoch in blocks]
         )
         cold_bits = _pack_line_masks(colds)
+        targets = {
+            index: self._eviction_targets(colds[index], line_sets[index])
+            for index, (_, _, events, _) in enumerate(blocks)
+            if events > 0
+        }
         # RNG blocks: split each cold-state block at absolute rng_block
         # multiples.  Each owns a child stream keyed by its start
         # position, so output never depends on which shard computes
-        # it.  Plaintexts come first in every stream; the generator is
-        # kept for the block's interference draws, which follow.
-        segments = []  # (out_start, out_end, cold-state block, stream)
+        # it.
+        segments = []  # (out_start, out_end, cold-state block)
         for index, (block_start, block_end, _, _) in enumerate(blocks):
             rng_start = block_start
             while rng_start < block_end:
                 rng_end = min(block_end,
                               (rng_start // rng_block + 1) * rng_block)
                 if rng_end > lo and rng_start < hi:
-                    block_rng = self._block_rng(party, campaign_seed,
-                                                rng_start)
-                    start, end = rng_start - lo, rng_end - lo
-                    plaintexts[start:end] = block_rng.integers(
-                        0, 256, size=(end - start, 16), dtype=np.uint8
-                    )
-                    segments.append((start, end, index, block_rng))
+                    segments.append((rng_start - lo, rng_end - lo, index))
                 rng_start = rng_end
 
-        timings = np.empty(hi - lo, dtype=float)
-        targets = {
-            index: self._eviction_targets(colds[index], line_sets[index])
-            for index, (_, _, events, _) in enumerate(blocks)
-            if events > 0
-        }
         for run in _runs(segments, self.config.chunk_size):
             run_start, run_end = run[0][0], run[-1][1]
-            masks = aes.line_masks(plaintexts[run_start:run_end])
+            # Plaintexts come first in every stream; the generator is
+            # kept for the block's interference draws, which follow.
+            plaintexts = np.empty((run_end - run_start, 16), dtype=np.uint8)
+            streams = []
+            for start, end, _ in run:
+                block_rng = self._block_rng(party, campaign_seed, start + lo)
+                plaintexts[start - run_start:end - run_start] = (
+                    block_rng.integers(0, 256, size=(end - start, 16),
+                                       dtype=np.uint8)
+                )
+                streams.append(block_rng)
+            masks = aes.line_masks(plaintexts)
             # Each row's cold lines, packed like its masks.
             owner = np.repeat(
-                [index for _, _, index, _ in run],
-                [end - start for start, end, _, _ in run],
+                [index for _, _, index in run],
+                [end - start for start, end, _ in run],
             )
             cold_hits = np.bitwise_count(masks & cold_bits[owner].T).sum(
                 axis=0, dtype=np.int64
             )
-            timings[run_start:run_end] = (
+            timings = (
                 self.config.base_cycles + self.config.miss_penalty * cold_hits
             )
-            for start, end, index, block_rng in run:
+            for (start, end, index), block_rng in zip(run, streams):
                 if index in targets:
-                    timings[start:end] += self._interference_noise(
-                        masks[:, start - run_start:end - run_start],
-                        targets[index], blocks[index][2], block_rng,
+                    timings[start - run_start:end - run_start] += (
+                        self._interference_noise(
+                            masks[:, start - run_start:end - run_start],
+                            targets[index], blocks[index][2], block_rng,
+                        )
                     )
-        return plaintexts, timings
+            yield run_start, plaintexts, timings
 
     def epoch_blocks(
         self,

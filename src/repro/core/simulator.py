@@ -9,13 +9,19 @@ correlation attack then grades how much of the victim's key survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.attack.bernstein import BernsteinAttack, BernsteinResult, profile_from_samples
+from repro.attack.bernstein import (
+    BernsteinAttack,
+    BernsteinResult,
+    ProfileSums,
+    TimingProfile,
+)
 from repro.attack.metrics import KeySpaceReport
-from repro.core.batch import AESTimingEngine, EngineConfig, TimingSamples
+from repro.core.batch import AESTimingEngine, EngineConfig
 from repro.core.setups import SETUP_NAMES, SetupConfig, make_setup
 from repro.crypto.aes import random_key
 from repro.workloads.interference import BackgroundWorkload
@@ -23,17 +29,35 @@ from repro.workloads.interference import BackgroundWorkload
 
 @dataclass
 class CaseStudyResult:
-    """Everything one setup's attack run produces."""
+    """Everything one setup's attack run produces.
+
+    The data are the two parties' profile sums: the attacker's indexed
+    by ``plaintext ^ attacker key`` (the study phase), the victim's by
+    plaintext.  They have a fixed size at any sample count.  The
+    correlation attack is a pure function of them, so it is computed
+    on first use and left out of the pickled state, which keeps a
+    cached or transferred result at the size of the sums.
+    """
 
     setup: SetupConfig
-    attack: BernsteinResult
-    victim_samples: TimingSamples
-    attacker_samples: TimingSamples
+    victim_sums: ProfileSums
+    attacker_sums: ProfileSums
     victim_key: bytes
+
+    @cached_property
+    def attack(self) -> BernsteinResult:
+        study = TimingProfile.from_sums(self.attacker_sums)
+        victim = TimingProfile.from_sums(self.victim_sums)
+        return BernsteinAttack(study, victim).run(self.victim_key)
 
     @property
     def report(self) -> KeySpaceReport:
         return self.attack.report
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("attack", None)
+        return state
 
 
 class BernsteinCaseStudy:
@@ -48,7 +72,8 @@ class BernsteinCaseStudy:
         Encryptions collected per party.  The paper uses 10^7 on its
         native-code simulator; a few times 10^5 suffices here because
         the modelled timing is noise-free apart from the physical
-        sources (see DESIGN.md §2).
+        sources: background evictions and, for RPCache, random-set
+        interference (see :mod:`repro.core.batch`).
     rng_seed:
         Anything :func:`numpy.random.default_rng` accepts — an int or
         a :class:`numpy.random.SeedSequence` (campaign cells pass
@@ -93,51 +118,33 @@ class BernsteinCaseStudy:
             attacker_key = random_key(self.rng)
         return victim_key, attacker_key
 
-    def attack(
-        self,
-        victim_samples: TimingSamples,
-        attacker_samples: TimingSamples,
-        victim_key: bytes,
-    ) -> CaseStudyResult:
-        """The correlation attack over already-collected samples."""
-        # Study profile: indexed by p ^ k_a (the attacker knows its key).
-        study = profile_from_samples(
-            attacker_samples.key_xor_plaintexts(), attacker_samples.timings
-        )
-        # Victim profile: indexed by the plaintext only.
-        victim = profile_from_samples(
-            victim_samples.plaintexts, victim_samples.timings
-        )
-        attack = BernsteinAttack(study, victim).run(victim_key)
-        return CaseStudyResult(
-            setup=self.setup,
-            attack=attack,
-            victim_samples=victim_samples,
-            attacker_samples=attacker_samples,
-            victim_key=victim_key,
-        )
-
     def run(
         self,
         victim_key: Optional[bytes] = None,
         attacker_key: Optional[bytes] = None,
         campaign_seed: int = 0xC0DE,
     ) -> CaseStudyResult:
-        """Collect both parties' samples and run the correlation attack."""
+        """Collect both parties' profile sums for the correlation attack."""
         victim_key, attacker_key = self.resolve_keys(victim_key, attacker_key)
-        attacker_samples = self.engine.collect(
+        attacker_sums = self.engine.collect_sums(
             attacker_key,
             self.num_samples,
             party="attacker",
             campaign_seed=campaign_seed,
+            index_key=attacker_key,
         )
-        victim_samples = self.engine.collect(
+        victim_sums = self.engine.collect_sums(
             victim_key,
             self.num_samples,
             party="victim",
             campaign_seed=campaign_seed,
         )
-        return self.attack(victim_samples, attacker_samples, victim_key)
+        return CaseStudyResult(
+            setup=self.setup,
+            victim_sums=victim_sums,
+            attacker_sums=attacker_sums,
+            victim_key=victim_key,
+        )
 
 
 def run_all_setups(

@@ -123,7 +123,7 @@ def windowed_background(
 def bernstein_background(
     line_size: int = 32, num_sets: int = 128
 ) -> BackgroundWorkload:
-    """The case-study background (see DESIGN.md and EXPERIMENTS.md).
+    """The case-study background interference of Figure 5.
 
     Region layout against the 4-way L1 of §6.1.2, whose sets 0..31
     hold two AES table lines (the 5 KB of tables wrap the 4 KB way)
@@ -147,7 +147,7 @@ def bernstein_background(
     enough that RPCache's randomized-eviction noise attenuates rather
     than buries the remaining signal at the sample counts this
     reproduction runs (the paper's 10^7-sample campaigns average
-    arbitrarily large noise away; see EXPERIMENTS.md).  Under modulo
+    arbitrarily large noise away).  Under modulo
     placement the resulting leak covers the bytes using Te1 and Te2 —
     half of the 16 key bytes, matching the paper's deterministic
     result.

@@ -173,7 +173,9 @@ class TestEpochBatching:
 
     def test_many_epochs_never_replay_scalar(self, monkeypatch):
         """More epochs than any memo could hold: every one is batched,
-        none falls back to a scalar replay."""
+        in order, in passes of at most EPOCH_LANES epochs (so memory
+        does not grow with the budget); none falls back to a scalar
+        replay."""
         setup = dataclasses.replace(make_setup("tscache"), reseed_every=1)
         engine = AESTimingEngine(setup, rng=np.random.default_rng(4))
         scalar_calls = []
@@ -187,7 +189,15 @@ class TestEpochBatching:
         batches = record_epoch_batches(monkeypatch)
         samples = engine.collect(bytes(range(16)), 4100)
         assert samples.num_samples == 4100
-        assert [len(epochs) for epochs in batches] == [4100]
+        expected = [
+            epoch for _, _, _, epoch
+            in engine.epoch_blocks(4100, "victim", 0xC0DE)
+        ]
+        assert len(expected) == 4100
+        assert [epoch for batch in batches for epoch in batch] == expected
+        assert max(len(batch) for batch in batches) == (
+            batch_module.EPOCH_LANES
+        )
         assert scalar_calls == []
 
 

@@ -23,6 +23,15 @@ from repro.campaigns.cache import ResultCache
 from repro.core.simulator import run_all_setups
 
 
+def sums_bytes(payload) -> bytes:
+    """Both parties' profile sums of a bernstein payload, as bytes."""
+    return b"".join(
+        np.asarray(getattr(sums, field)).tobytes()
+        for sums in (payload.victim_sums, payload.attacker_sums)
+        for field in ("sums", "sum_squares", "counts", "total")
+    )
+
+
 class TestExperimentSpec:
     def test_params_sorted_and_frozen(self):
         spec = ExperimentSpec(
@@ -206,14 +215,7 @@ class TestCampaignRunner:
         assert len(parallel) == len(serial_result)
         for ser, par in zip(serial_result, parallel):
             assert ser.spec == par.spec
-            assert np.array_equal(
-                ser.payload.victim_samples.timings,
-                par.payload.victim_samples.timings,
-            )
-            assert np.array_equal(
-                ser.payload.attacker_samples.plaintexts,
-                par.payload.attacker_samples.plaintexts,
-            )
+            assert sums_bytes(ser.payload) == sums_bytes(par.payload)
             assert (
                 ser.payload.report.remaining_key_space_log2
                 == par.payload.report.remaining_key_space_log2
@@ -267,14 +269,7 @@ class TestIntraCellSharding:
         sharded = CampaignRunner(max_shards_per_cell=max_shards).run(spec)
         ser, shd = serial.cells[0], sharded.cells[0]
         assert shd.num_shards > 1
-        assert np.array_equal(
-            ser.payload.victim_samples.timings,
-            shd.payload.victim_samples.timings,
-        )
-        assert np.array_equal(
-            ser.payload.attacker_samples.plaintexts,
-            shd.payload.attacker_samples.plaintexts,
-        )
+        assert sums_bytes(ser.payload) == sums_bytes(shd.payload)
         assert ser.payload.victim_key == shd.payload.victim_key
         assert (
             ser.payload.report.remaining_key_space_log2
@@ -283,9 +278,8 @@ class TestIntraCellSharding:
 
     def test_sharded_pool_bit_identical(self, spec, serial):
         pooled = CampaignRunner(workers=2, max_shards_per_cell=3).run(spec)
-        assert np.array_equal(
-            serial.cells[0].payload.victim_samples.timings,
-            pooled.cells[0].payload.victim_samples.timings,
+        assert sums_bytes(serial.cells[0].payload) == sums_bytes(
+            pooled.cells[0].payload
         )
 
     def test_adaptive_policy_bit_identical(self, spec, serial):
@@ -299,14 +293,7 @@ class TestIntraCellSharding:
         ).run(spec)
         ser, ada = serial.cells[0], adaptive.cells[0]
         assert ada.num_shards > 1
-        assert np.array_equal(
-            ser.payload.victim_samples.timings,
-            ada.payload.victim_samples.timings,
-        )
-        assert np.array_equal(
-            ser.payload.attacker_samples.plaintexts,
-            ada.payload.attacker_samples.plaintexts,
-        )
+        assert sums_bytes(ser.payload) == sums_bytes(ada.payload)
         assert (
             ser.payload.report.remaining_key_space_log2
             == ada.payload.report.remaining_key_space_log2
@@ -448,6 +435,39 @@ class TestResultCache:
         assert not result.cells[0].from_cache
         rerun = CampaignRunner(cache_dir=str(tmp_path)).run([spec])
         assert rerun.cells[0].from_cache
+
+    def test_bernstein_entry_is_small_and_fixed_size(self, tmp_path):
+        """A bernstein entry holds profile sums, not samples: under
+        200 KB, the same size at 10x the budget, and the attack
+        recomputed from a loaded entry is the one the run reported.
+        A shard's partial payload is bounded the same way."""
+        import pickle
+
+        from repro.campaigns.experiments import (
+            plan_bernstein_shards,
+            run_bernstein_shard,
+        )
+
+        sizes = []
+        for num_samples in (4_000, 40_000):
+            cache_dir = tmp_path / str(num_samples)
+            specs = bernstein_grid(
+                num_samples=num_samples, seed=7, setups=("rpcache",)
+            )
+            result = CampaignRunner(cache_dir=str(cache_dir)).run(specs)
+            (entry,) = cache_dir.glob("*.pkl")
+            sizes.append(entry.stat().st_size)
+            cached = ResultCache(str(cache_dir)).get(specs[0])
+            payload = result.cells[0].payload
+            assert sums_bytes(cached) == sums_bytes(payload)
+            assert cached.report == payload.report
+            shard = plan_bernstein_shards(specs[0], 2)[0]
+            partial = pickle.dumps(
+                run_bernstein_shard(specs[0], shard),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            assert len(partial) < 200_000
+        assert sizes[0] == sizes[1] < 200_000
 
 
 class TestResultCacheGC:
@@ -646,10 +666,7 @@ class TestRunAllSetups:
         )
         assert set(serial) == set(parallel) == {"deterministic", "tscache"}
         for name in serial:
-            assert np.array_equal(
-                serial[name].victim_samples.timings,
-                parallel[name].victim_samples.timings,
-            )
+            assert sums_bytes(serial[name]) == sums_bytes(parallel[name])
             assert serial[name].victim_key == parallel[name].victim_key
 
     def test_same_keys_across_setups(self):

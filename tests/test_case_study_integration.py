@@ -8,6 +8,7 @@ counts chosen so the qualitative outcomes are stable.
 import numpy as np
 import pytest
 
+from repro.attack.bernstein import TimingProfile
 from repro.attack.metrics import candidate_matrix
 from repro.core.simulator import BernsteinCaseStudy
 
@@ -59,12 +60,8 @@ class TestDeterministicSetup:
 
     def test_timing_has_input_dependence(self, deterministic_result):
         """Figure 4 precondition: per-value timing variation exists."""
-        samples = deterministic_result.victim_samples
-        from repro.attack.bernstein import timing_variation_by_value
-
-        variation = timing_variation_by_value(
-            samples.plaintexts, samples.timings, byte_index=5
-        )
+        profile = TimingProfile.from_sums(deterministic_result.victim_sums)
+        variation = profile.deviations[5]
         assert variation.max() - variation.min() > 0.5
 
 
@@ -81,7 +78,11 @@ class TestTSCacheSetup:
     def test_timing_still_varies(self, tscache_result):
         """TSCache defeats the attack by randomization, not by making
         time constant — execution times must still vary."""
-        assert tscache_result.victim_samples.timings.std() > 1.0
+        sums = tscache_result.victim_sums
+        n = sums.num_samples
+        mean = sums.total / n
+        variance = sums.sum_squares[0].sum() / n - mean * mean
+        assert np.sqrt(variance) > 1.0
 
 
 class TestCrossSetupShape:
@@ -95,6 +96,6 @@ class TestCrossSetupShape:
     def test_setups_recorded(self, deterministic_result, tscache_result):
         assert deterministic_result.setup.name == "deterministic"
         assert tscache_result.setup.name == "tscache"
-        assert deterministic_result.victim_samples.setup_name == (
-            "deterministic"
-        )
+        for result in (deterministic_result, tscache_result):
+            assert result.victim_sums.num_samples == 60_000
+            assert result.attacker_sums.num_samples == 60_000

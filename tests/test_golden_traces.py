@@ -12,8 +12,10 @@ asserted over three execution paths:
   ``CampaignRunner(workers=N, max_shards_per_cell=M)``,
 
 which is the acceptance proof that intra-cell sharding is
-bit-identical to the serial path (timing arrays byte-for-byte, attack
-results equal).
+bit-identical to the serial path (the cells' profile sums byte for
+byte, attack results equal).  The profile sums a campaign cell
+carries are chained back to the frozen samples by
+``TestProfileSumsGoldens``.
 
 CI re-runs this module with ``REPRO_GOLDEN_WORKERS=2`` so the
 process-pool path is exercised with real workers, and with
@@ -31,8 +33,18 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.attack.bernstein import (
+    ProfileSums,
+    TimingProfile,
+    profile_from_samples,
+)
 from repro.campaigns import CampaignRunner, ExperimentSpec, bernstein_grid
-from repro.core.batch import AESTimingEngine, ShardPolicy, merge_shard_samples
+from repro.core.batch import (
+    AESTimingEngine,
+    ShardPolicy,
+    merge_shard_samples,
+    merge_shard_sums,
+)
 from repro.core.setups import SETUP_NAMES, make_setup
 
 #: Worker count for the campaign-path goldens (CI sets 2 to exercise
@@ -268,6 +280,13 @@ def sample_digest(samples) -> str:
     return h.hexdigest()
 
 
+def sums_bytes(sums: ProfileSums) -> bytes:
+    return b"".join(
+        np.asarray(getattr(sums, field)).tobytes()
+        for field in ("sums", "sum_squares", "counts", "total")
+    )
+
+
 def golden_engine(setup_name: str) -> AESTimingEngine:
     return AESTimingEngine(make_setup(setup_name), rng=GOLDEN_ENGINE_SEED)
 
@@ -324,11 +343,82 @@ class TestShardedGoldens:
         assert sample_digest(merged) == GOLDEN_DIGESTS[setup_name]
 
 
+class TestProfileSumsGoldens:
+    """The chain from the frozen samples to what a bernstein cell
+    carries: the engine's chunked profile sums equal, byte for byte,
+    the sums of the samples ``collect`` returns (which
+    ``GOLDEN_DIGESTS`` pins), whole, merged from uneven shards in any
+    order, and as a prefix; and the profile built from sums is the
+    profile built from samples, bit for bit."""
+
+    @pytest.fixture(params=SETUP_NAMES)
+    def engine(self, request):
+        return golden_engine(request.param)
+
+    @pytest.fixture(params=["victim", "attacker"])
+    def party(self, request):
+        return request.param
+
+    def collect(self, engine, party):
+        samples = engine.collect(
+            GOLDEN_KEY, GOLDEN_SAMPLES, party=party, campaign_seed=0xC0DE
+        )
+        if party == "victim":
+            assert sample_digest(samples) == GOLDEN_DIGESTS[engine.setup.name]
+            return samples.plaintexts, samples.timings
+        return samples.key_xor_plaintexts(), samples.timings
+
+    def index_key(self, party):
+        return GOLDEN_KEY if party == "attacker" else None
+
+    def test_sums_match_collected_samples(self, engine, party):
+        index, timings = self.collect(engine, party)
+        sums = engine.collect_sums(
+            GOLDEN_KEY, GOLDEN_SAMPLES, party=party, campaign_seed=0xC0DE,
+            index_key=self.index_key(party),
+        )
+        assert sums_bytes(sums) == sums_bytes(
+            ProfileSums.from_samples(index, timings)
+        )
+        from_sums = TimingProfile.from_sums(sums)
+        from_samples = profile_from_samples(index, timings)
+        for field in ("deviations", "counts", "mean_variances"):
+            assert (
+                getattr(from_sums, field).tobytes()
+                == getattr(from_samples, field).tobytes()
+            )
+        assert from_sums.global_mean == from_samples.global_mean
+
+    def test_uneven_shards_and_prefix_match(self, engine, party):
+        index, timings = self.collect(engine, party)
+        plan = engine.shard_plan(
+            GOLDEN_SAMPLES, 3, ShardPolicy.adaptive(min_block=1024)
+        )
+        sizes = [shard.num_samples for shard in plan]
+        assert len(sizes) == 3 and len(set(sizes)) > 1
+        parts = [
+            engine.collect_shard_sums(
+                GOLDEN_KEY, GOLDEN_SAMPLES, shard, party=party,
+                campaign_seed=0xC0DE, index_key=self.index_key(party),
+            )
+            for shard in plan
+        ]
+        shuffled = [parts[2], parts[0], parts[1]]
+        assert sums_bytes(merge_shard_sums(shuffled)) == sums_bytes(
+            ProfileSums.from_samples(index, timings)
+        )
+        end = plan[1].end
+        prefix = merge_shard_sums([parts[1], parts[0]], partial=True)
+        assert sums_bytes(prefix) == sums_bytes(
+            ProfileSums.from_samples(index[:end], timings[:end])
+        )
+
+
 class TestCampaignGoldens:
     """The acceptance criterion: a Bernstein cell with
     ``max_shards_per_cell > 1`` — on a process pool or a work queue
     served by independent worker processes (REPRO_GOLDEN_BACKEND) —
-    produces byte-identical timing arrays and identical attack results
+    produces byte-identical profile sums and identical attack results
     to the serial path."""
 
     @pytest.fixture(scope="class")
@@ -354,18 +444,10 @@ class TestCampaignGoldens:
         for ser, shd in zip(serial, sharded):
             assert ser.spec == shd.spec
             assert shd.num_shards > 1
-            assert (
-                ser.payload.victim_samples.timings.tobytes()
-                == shd.payload.victim_samples.timings.tobytes()
-            )
-            assert (
-                ser.payload.attacker_samples.timings.tobytes()
-                == shd.payload.attacker_samples.timings.tobytes()
-            )
-            assert (
-                ser.payload.victim_samples.plaintexts.tobytes()
-                == shd.payload.victim_samples.plaintexts.tobytes()
-            )
+            for party in ("victim_sums", "attacker_sums"):
+                assert sums_bytes(getattr(ser.payload, party)) == (
+                    sums_bytes(getattr(shd.payload, party))
+                ), f"{ser.spec.setup}: {party} differ"
             assert ser.payload.victim_key == shd.payload.victim_key
             assert (
                 ser.payload.report.remaining_key_space_log2
