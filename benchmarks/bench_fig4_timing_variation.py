@@ -6,13 +6,17 @@ each of the 256 values: a handful of values run measurably slower,
 which is the raw material of Bernstein's attack.  Our memory layout
 leaks through the bytes whose first-round lookups use Te1/Te2 (j % 4 in
 {1, 2}); we plot byte 5 and verify byte 0 (Te0, never evicted) is flat.
+
+The data is the victim profile of the named ``bernstein`` campaign's
+deterministic cell (Figure 5's first panel), so this figure shares
+that cell's spec hash and result-cache entry.
 """
 
 import numpy as np
 import pytest
 
-from repro.attack.bernstein import timing_variation_by_value
-from repro.campaigns import CampaignRunner, ExperimentSpec
+from repro.attack.bernstein import TimingProfile
+from repro.campaigns import CampaignRunner, bernstein_grid
 
 from benchmarks.reporting import emit
 
@@ -20,32 +24,23 @@ LEAKING_BYTE = 5   # first-round table Te1 (partially evicted)
 FLAT_BYTE = 0      # first-round table Te0 (never evicted)
 
 
-def collect(num_samples: int = 400_000):
-    """One declarative timing_samples cell on the deterministic setup."""
-    spec = ExperimentSpec(
-        kind="timing_samples",
-        setup="deterministic",
-        num_samples=num_samples,
-        seed=41,
-        params=(("key", bytes(range(16)).hex()),),
-    )
-    return CampaignRunner().run([spec]).payloads()[0]
+def collect():
+    """The named bernstein campaign's deterministic cell."""
+    specs = bernstein_grid(setups=("deterministic",))
+    return CampaignRunner().run(specs).payloads()[0]
 
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_timing_variation(benchmark):
-    samples = benchmark.pedantic(collect, rounds=1, iterations=1)
-    leaking = timing_variation_by_value(
-        samples.plaintexts, samples.timings, LEAKING_BYTE
-    )
-    flat = timing_variation_by_value(
-        samples.plaintexts, samples.timings, FLAT_BYTE
-    )
+    payload = benchmark.pedantic(collect, rounds=1, iterations=1)
+    profile = TimingProfile.from_sums(payload.victim_sums)
+    leaking = profile.deviations[LEAKING_BYTE]
+    flat = profile.deviations[FLAT_BYTE]
 
     slowest = np.argsort(leaking)[-8:][::-1]
     lines = [
-        f"samples: {samples.num_samples}  "
-        f"mean time: {samples.timings.mean():.1f} cycles",
+        f"samples: {payload.victim_sums.num_samples}  "
+        f"mean time: {profile.global_mean:.1f} cycles",
         f"byte {LEAKING_BYTE} deviation range: "
         f"[{leaking.min():+.2f}, {leaking.max():+.2f}] cycles",
         f"byte {FLAT_BYTE} deviation range:  "

@@ -282,7 +282,6 @@ class BernsteinAttack:
                     byte_index=j,
                     true_value=true_key[j],
                     surviving_values=surviving,
-                    scores=tuple(float(s) for s in scores),
                 )
             )
         return BernsteinResult(
@@ -291,12 +290,3 @@ class BernsteinAttack:
             best_guess=bytes(best_guess),
         )
 
-
-def timing_variation_by_value(
-    plaintexts: np.ndarray, timings: np.ndarray, byte_index: int
-) -> np.ndarray:
-    """Figure 4 data: mean time deviation per value of one input byte."""
-    if not 0 <= byte_index < 16:
-        raise ValueError("byte_index must be in 0..15")
-    profile = profile_from_samples(plaintexts, timings)
-    return profile.row(byte_index)

@@ -25,8 +25,6 @@ class ByteAttackOutcome:
     byte_index: int
     true_value: int
     surviving_values: frozenset
-    #: Correlation score per candidate value (length 256).
-    scores: tuple
 
     def __post_init__(self) -> None:
         if self.true_value not in self.surviving_values:

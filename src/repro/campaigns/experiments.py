@@ -9,10 +9,9 @@ picklable payload, registered under a stable name:
     grade the key space.  Payload:
     :class:`repro.core.simulator.CaseStudyResult`, a fixed size at any
     sample count; shards carry :class:`~repro.core.batch.ShardSums`
-    and merge by addition.
-``timing_samples``
-    One party's raw :class:`TimingSamples` on a setup (the Figure 4
-    per-value timing-variation substrate).
+    and merge by addition.  Figure 4 (timing deviation per value of
+    one input byte) is a row of the deterministic cell's victim
+    profile.
 ``pwcet``
     Execution times of the synthetic multi-page task over many runs
     (fresh seed per run, the MBPTA analysis-phase protocol) plus the
@@ -36,8 +35,8 @@ All randomness is drawn from the spec's private
 :meth:`~repro.campaigns.spec.ExperimentSpec.seed_sequence`, so results
 do not depend on execution order or worker placement.
 
-The sample-range kinds (``bernstein``, ``timing_samples``, ``pwcet``,
-``prime_probe``, ``evict_time``) are additionally *shardable*: their
+The sample-range kinds (``bernstein``, ``pwcet``, ``prime_probe``,
+``evict_time``) are additionally *shardable*: their
 ``plan_shards``/``run_shard``/``merge_shards`` hooks let
 :class:`~repro.campaigns.runner.CampaignRunner` fan one big cell out
 across the process pool (``max_shards_per_cell``) and merge the
@@ -61,14 +60,10 @@ from repro.cache.placement import make_placement
 from repro.cache.replacement import make_replacement
 from repro.common.trace import TraceArrays, trace_arrays
 from repro.core.batch import (
-    AESTimingEngine,
     Shard,
     ShardPlan,
     ShardPolicy,
-    ShardSamples,
     ShardSums,
-    TimingSamples,
-    merge_shard_samples,
     merge_shard_sums,
 )
 from repro.core.setups import (
@@ -294,80 +289,6 @@ def run_bernstein(spec: ExperimentSpec):
     return study.run(
         victim_key=_key_param(spec, "victim_key"),
         attacker_key=_key_param(spec, "attacker_key"),
-        campaign_seed=_engine_campaign_seed(spec),
-    )
-
-
-# -- timing_samples ---------------------------------------------------------
-
-def _summarize_timing(
-    spec: ExperimentSpec, payload: TimingSamples
-) -> Dict[str, Any]:
-    return {
-        "mean_cycles": round(float(payload.timings.mean()), 2),
-        "std_cycles": round(float(payload.timings.std()), 2),
-    }
-
-
-def _timing_engine(spec: ExperimentSpec) -> AESTimingEngine:
-    return AESTimingEngine(
-        resolve_setup(spec),
-        background=resolve_background(spec),
-        rng=spec.rng(),
-    )
-
-
-def plan_timing_shards(
-    spec: ExperimentSpec,
-    max_shards: int,
-    policy: Optional[ShardPolicy] = None,
-) -> ShardPlan:
-    return _timing_engine(spec).shard_plan(spec.num_samples, max_shards,
-                                           policy)
-
-
-def run_timing_shard(spec: ExperimentSpec, shard: Shard) -> ShardSamples:
-    key = _key_param(spec, "key") or bytes(range(16))
-    return _timing_engine(spec).collect_shard(
-        key,
-        spec.num_samples,
-        shard,
-        party=spec.param("party", "victim"),
-        campaign_seed=_engine_campaign_seed(spec),
-    )
-
-
-def merge_timing_shards(
-    spec: ExperimentSpec, parts: Sequence[ShardSamples]
-) -> TimingSamples:
-    return merge_shard_samples(parts)
-
-
-def merge_timing_partial(
-    spec: ExperimentSpec, parts: Sequence[ShardSamples]
-) -> TimingSamples:
-    return merge_shard_samples(parts, partial=True)
-
-
-@register_experiment(
-    "timing_samples",
-    summarize=_summarize_timing,
-    plan_shards=plan_timing_shards,
-    run_shard=run_timing_shard,
-    merge_shards=merge_timing_shards,
-    merge_partial=merge_timing_partial,
-    resolve_kernel=resolve_engine_kernel,
-)
-def run_timing_samples(spec: ExperimentSpec) -> TimingSamples:
-    """Raw one-party timing collection (Figure 4 substrate).
-
-    Params: ``key`` (hex, default the 00..0f pattern key), ``party``.
-    """
-    key = _key_param(spec, "key") or bytes(range(16))
-    return _timing_engine(spec).collect(
-        key,
-        spec.num_samples,
-        party=spec.param("party", "victim"),
         campaign_seed=_engine_campaign_seed(spec),
     )
 

@@ -639,8 +639,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_coordinator(args: argparse.Namespace) -> int:
-    import threading
-
     from repro.backends import CoordinatorServer
 
     try:
@@ -688,7 +686,12 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
               file=sys.stderr, flush=True)
     server.start()
     try:
-        threading.Event().wait()
+        # Bounded sleeps, not one untimed wait: Python raises the
+        # KeyboardInterrupt only when the main thread runs again, and
+        # a SIGINT delivered to another thread never wakes an untimed
+        # wait.
+        while True:
+            time.sleep(0.1)
     except KeyboardInterrupt:
         pass
     finally:

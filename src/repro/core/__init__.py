@@ -7,11 +7,9 @@ from repro.core.batch import (
     ColdLineModel,
     Shard,
     ShardPlan,
-    ShardSamples,
     ShardSums,
     TimingSamples,
     lookup_line_ids,
-    merge_shard_samples,
     merge_shard_sums,
 )
 from repro.core.setups import (
@@ -32,11 +30,9 @@ __all__ = [
     "ColdLineModel",
     "Shard",
     "ShardPlan",
-    "ShardSamples",
     "ShardSums",
     "TimingSamples",
     "lookup_line_ids",
-    "merge_shard_samples",
     "merge_shard_sums",
     "BernsteinCaseStudy",
     "CaseStudyResult",

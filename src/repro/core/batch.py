@@ -47,20 +47,18 @@ bit from the same masks.
    child stream keyed by the block's absolute start position, so the
    samples of block ``[s, e)`` are a pure function of the engine's
    entropy root, the party, the campaign seed and ``s``.  A
-   :class:`ShardPlan` groups whole blocks into contiguous shards;
-   :meth:`AESTimingEngine.collect_shard` computes one shard's slice and
-   :func:`merge_shard_samples` reassembles them **bit-identically** to
-   the serial :meth:`AESTimingEngine.collect` path, for any shard count
-   and any completion order.
+   :class:`ShardPlan` groups whole blocks into contiguous shards.
 
-4. **Profile sums in constant memory.**  The Bernstein attack needs
-   only per-(byte position, value) timing sums, so
-   :meth:`AESTimingEngine.collect_sums` and
-   :meth:`~AESTimingEngine.collect_shard_sums` reduce each run of
+4. **Profile sums in constant memory.**  The Bernstein attack (and
+   Figure 4, a row of its victim profile) needs only per-(byte
+   position, value) timing sums, so :meth:`AESTimingEngine.collect_sums`
+   and :meth:`~AESTimingEngine.collect_shard_sums` reduce each run of
    samples to :class:`~repro.attack.bernstein.ProfileSums` as soon as
-   it is computed, and :func:`merge_shard_sums` adds shards back.
-   Runs come from the same generator as :meth:`~AESTimingEngine.collect`,
-   so the sums are those of the samples the goldens pin.
+   it is computed, and :func:`merge_shard_sums` adds shards back
+   **bit-identically** to the unsharded sums, for any shard count and
+   any completion order.  Runs come from the same generator as
+   :meth:`~AESTimingEngine.collect`, so the sums are those of the
+   samples the goldens pin.
 
 The consistency of (1)+(2) against the scalar hierarchy is covered by
 integration tests (``tests/test_batch.py``), which also pin the batched
@@ -436,24 +434,6 @@ class ShardPolicy:
 
 
 @dataclass
-class ShardSamples:
-    """One shard's slice of a collection (see :func:`merge_shard_samples`)."""
-
-    shard: Shard
-    plaintexts: np.ndarray  # (shard.num_samples, 16) uint8
-    timings: np.ndarray  # (shard.num_samples,) float
-    key: bytes
-    setup_name: str
-    total_samples: int
-
-    def __post_init__(self) -> None:
-        if self.plaintexts.shape[0] != self.shard.num_samples:
-            raise ValueError("plaintexts do not match the shard range")
-        if self.timings.shape[0] != self.shard.num_samples:
-            raise ValueError("timings do not match the shard range")
-
-
-@dataclass
 class ShardSums:
     """One shard's profile sums (see :func:`merge_shard_sums`)."""
 
@@ -464,12 +444,21 @@ class ShardSums:
     total_samples: int
 
 
-def _tiled(parts: Sequence, partial: bool) -> list:
-    """``parts`` in shard-index order, checked to tile one collection.
+def merge_shard_sums(
+    parts: Sequence[ShardSums], *, partial: bool = False
+) -> ProfileSums:
+    """The profile sums of a whole collection, summed in shard-index
+    order from parts given in **any** order.
 
-    Every part must come from the same collection (key, setup and
-    budget) and together they must cover ``[0, total_samples)``
-    exactly — or, with ``partial=True``, a contiguous prefix of it.
+    The parts must belong to one collection (same key/setup/budget)
+    and tile ``[0, total_samples)`` exactly.  With ``partial=True``
+    they may instead be a contiguous *prefix* of the plan (shards
+    0..k-1 of n), and the result holds the sums of the first
+    ``parts[k-1].shard.end`` samples — the streaming-merge substrate
+    that lets reporting surface attack results before a cell
+    finishes.  Because every shard's randomness is keyed to its
+    absolute positions, the prefix equals the sums of the first
+    samples of the full collection bit for bit.
     """
     if not parts:
         raise ValueError("no shards to merge")
@@ -481,6 +470,7 @@ def _tiled(parts: Sequence, partial: bool) -> list:
             f"have {len(ordered)} shards, plan had {expected_k}"
         )
     cursor = 0
+    merged = None
     for i, part in enumerate(ordered):
         if part.shard.index != i:
             raise ValueError(f"duplicate or missing shard index {i}")
@@ -493,50 +483,11 @@ def _tiled(parts: Sequence, partial: bool) -> list:
                 f"shard {i} starts at {part.shard.start}, expected {cursor}"
             )
         cursor = part.shard.end
+        merged = part.sums if merged is None else merged + part.sums
     if not partial and cursor != first.total_samples:
         raise ValueError(
             f"shards cover [0, {cursor}), budget is {first.total_samples}"
         )
-    return ordered
-
-
-def merge_shard_samples(
-    parts: Sequence[ShardSamples], *, partial: bool = False
-) -> TimingSamples:
-    """Reassemble a full :class:`TimingSamples` from every shard.
-
-    Accepts the parts in **any** order (they are sorted by shard
-    index); validates that together they tile ``[0, total_samples)``
-    exactly and belong to one collection (same key/setup/budget).
-
-    With ``partial=True`` the parts may instead be a contiguous
-    *prefix* of the plan (shards 0..k-1 of n): the result then holds
-    only the first ``parts[k-1].shard.end`` samples — the streaming-
-    merge substrate that lets reporting surface attack results before
-    a cell finishes.  Because every shard's randomness is keyed to its
-    absolute positions, the prefix equals the first samples of the
-    full collection bit for bit.
-    """
-    ordered = _tiled(parts, partial)
-    return TimingSamples(
-        plaintexts=np.concatenate([p.plaintexts for p in ordered], axis=0),
-        timings=np.concatenate([p.timings for p in ordered]),
-        key=ordered[0].key,
-        setup_name=ordered[0].setup_name,
-    )
-
-
-def merge_shard_sums(
-    parts: Sequence[ShardSums], *, partial: bool = False
-) -> ProfileSums:
-    """The profile sums of a whole collection (or, with
-    ``partial=True``, of a contiguous prefix of it), summed in
-    shard-index order from parts given in any order — checked like
-    :func:`merge_shard_samples`."""
-    ordered = _tiled(parts, partial)
-    merged = ordered[0].sums
-    for part in ordered[1:]:
-        merged = merged + part.sums
     return merged
 
 
@@ -961,33 +912,6 @@ class AESTimingEngine:
             timings=timings,
             key=key,
             setup_name=self.setup.name,
-        )
-
-    def collect_shard(
-        self,
-        key: bytes,
-        num_samples: int,
-        shard: Shard,
-        party: str = "victim",
-        campaign_seed: int = 0xC0DE,
-    ) -> ShardSamples:
-        """One shard's slice of a ``num_samples`` collection.
-
-        ``shard`` must be block-aligned (see :meth:`shard_plan`);
-        merging every shard of a plan with :func:`merge_shard_samples`
-        reproduces :meth:`collect` byte for byte.
-        """
-        self._check_shard(num_samples, shard)
-        plaintexts, timings = self._collect_range(
-            key, num_samples, shard.start, shard.end, party, campaign_seed
-        )
-        return ShardSamples(
-            shard=shard,
-            plaintexts=plaintexts,
-            timings=timings,
-            key=key,
-            setup_name=self.setup.name,
-            total_samples=num_samples,
         )
 
     def collect_sums(

@@ -42,10 +42,12 @@ from repro.campaigns import CampaignRunner, ExperimentSpec, contention_grid
 from repro.campaigns.cache import ResultCache
 from repro.core.batch import Shard, ShardPolicy
 
+from conftest import sums_bytes
 
-def timing_spec(num_samples=4096, setup="deterministic", seed=9):
+
+def bernstein_spec(num_samples=4096, setup="deterministic", seed=9):
     return ExperimentSpec(
-        kind="timing_samples", setup=setup,
+        kind="bernstein", setup=setup,
         num_samples=num_samples, seed=seed,
     )
 
@@ -67,7 +69,7 @@ def run_worker_once(queue_dir, **kwargs):
 
 class TestWorkUnitWire:
     def test_doc_round_trip_preserves_identity(self):
-        spec = timing_spec()
+        spec = bernstein_spec()
         shard = Shard(index=1, num_shards=4, start=1024, end=2048)
         unit = WorkUnit(unit_id="u1", spec=spec, shard=shard)
         rebuilt = WorkUnit.from_doc(json.loads(json.dumps(unit.to_doc())))
@@ -111,7 +113,7 @@ class TestLocalBackends:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return CampaignRunner(max_shards_per_cell=3).run([timing_spec()])
+        return CampaignRunner(max_shards_per_cell=3).run([bernstein_spec()])
 
     @pytest.mark.parametrize("make_backend", [
         SerialBackend, lambda: ProcessPoolBackend(2)
@@ -120,24 +122,18 @@ class TestLocalBackends:
         with make_backend() as backend:
             result = CampaignRunner(
                 max_shards_per_cell=3, backend=backend
-            ).run([timing_spec()])
-        assert np.array_equal(
-            reference.cells[0].payload.timings,
-            result.cells[0].payload.timings,
-        )
-        assert np.array_equal(
-            reference.cells[0].payload.plaintexts,
-            result.cells[0].payload.plaintexts,
+            ).run([bernstein_spec()])
+        assert sums_bytes(reference.cells[0].payload) == sums_bytes(
+            result.cells[0].payload
         )
 
     def test_backend_reusable_across_campaigns(self, reference):
         backend = SerialBackend()
         runner = CampaignRunner(max_shards_per_cell=3, backend=backend)
-        first = runner.run([timing_spec()])
-        second = runner.run([timing_spec()])
-        assert np.array_equal(
-            first.cells[0].payload.timings,
-            second.cells[0].payload.timings,
+        first = runner.run([bernstein_spec()])
+        second = runner.run([bernstein_spec()])
+        assert sums_bytes(first.cells[0].payload) == sums_bytes(
+            second.cells[0].payload
         )
 
     def test_pool_backend_rejects_bad_workers(self):
@@ -214,7 +210,7 @@ class TestWorkQueueDispatch:
     def test_spawned_workers_bit_identical(self, tmp_path):
         """The acceptance path: real forked worker processes
         serve sharded units; the merged payload matches serial."""
-        spec = timing_spec(num_samples=2048)
+        spec = bernstein_spec(num_samples=2048)
         serial = CampaignRunner(max_shards_per_cell=2).run([spec])
         backend = WorkQueueBackend(
             str(tmp_path), spawn_workers=2,
@@ -226,13 +222,8 @@ class TestWorkQueueDispatch:
             ).run([spec])
         finally:
             backend.close()
-        assert np.array_equal(
-            serial.cells[0].payload.timings,
-            queued.cells[0].payload.timings,
-        )
-        assert np.array_equal(
-            serial.cells[0].payload.plaintexts,
-            queued.cells[0].payload.plaintexts,
+        assert sums_bytes(serial.cells[0].payload) == sums_bytes(
+            queued.cells[0].payload
         )
 
     def test_duplicate_submit_rejected(self, tmp_path):
@@ -514,7 +505,7 @@ class TestHeartbeatLiveness:
         # has crashed before it computes, so the abort never races
         # the unit's run time.
         backend = WorkQueueBackend(str(tmp_path), lease_timeout=0.2)
-        backend.submit(WorkUnit(unit_id="u", spec=timing_spec()))
+        backend.submit(WorkUnit(unit_id="u", spec=bernstein_spec()))
         claimed = backend.store.claim("w1", "h")["unit"]
         assert claimed["unit_id"] == "u"
         crashed = threading.Event()
@@ -993,7 +984,7 @@ class TestElasticEndToEnd:
     a clean queue behind."""
 
     def test_elastic_pool_bit_identical_and_clean(self, tmp_path):
-        spec = timing_spec(num_samples=4096)
+        spec = bernstein_spec(num_samples=4096)
         serial = CampaignRunner(max_shards_per_cell=4).run([spec])
         backend = WorkQueueBackend(
             str(tmp_path), min_workers=1, max_workers=2,
@@ -1010,13 +1001,8 @@ class TestElasticEndToEnd:
             assert backend.live_worker_count() >= 1
         finally:
             backend.close()
-        assert np.array_equal(
-            serial.cells[0].payload.timings,
-            elastic.cells[0].payload.timings,
-        )
-        assert np.array_equal(
-            serial.cells[0].payload.plaintexts,
-            elastic.cells[0].payload.plaintexts,
+        assert sums_bytes(serial.cells[0].payload) == sums_bytes(
+            elastic.cells[0].payload
         )
         for sub in (TASKS_DIR, LEASES_DIR, RESULTS_DIR):
             assert os.listdir(tmp_path / sub) == []
@@ -1171,7 +1157,7 @@ class TestDurableShardPartials:
 
     def test_put_get_clear_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        spec = timing_spec()
+        spec = bernstein_spec()
         plan = self.plan_for(spec, 4)
         cache.put_shard(spec, plan[1], {"x": 1})
         restored = cache.get_shards(spec, plan)
@@ -1184,7 +1170,7 @@ class TestDurableShardPartials:
         """A partial keyed to a different shard layout must not be
         mis-merged into this plan."""
         cache = ResultCache(str(tmp_path))
-        spec = timing_spec()
+        spec = bernstein_spec()
         plan4 = self.plan_for(spec, 4)
         plan2 = self.plan_for(spec, 2)
         cache.put_shard(spec, plan4[0], "from-4-way-plan")
@@ -1192,7 +1178,7 @@ class TestDurableShardPartials:
 
     def test_corrupt_partial_degrades_to_recompute(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        spec = timing_spec()
+        spec = bernstein_spec()
         plan = self.plan_for(spec, 4)
         cache.put_shard(spec, plan[0], {"good": True})
         path = cache._shard_path(spec, plan[1])
@@ -1202,7 +1188,7 @@ class TestDurableShardPartials:
 
     def test_writes_leave_no_temp_litter(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        spec = timing_spec()
+        spec = bernstein_spec()
         cache.put(spec, {"payload": 1})
         cache.put_shard(spec, self.plan_for(spec, 4)[0], {"p": 1})
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
@@ -1211,7 +1197,7 @@ class TestDurableShardPartials:
         """put() is write-then-rename: a writer dying mid-write leaves
         the previous (valid) entry untouched."""
         cache = ResultCache(str(tmp_path))
-        spec = timing_spec()
+        spec = bernstein_spec()
         cache.put(spec, {"generation": 1})
 
         class Unpicklable:
@@ -1243,7 +1229,7 @@ class TestMidCellResume:
         return progress
 
     def test_resume_uses_partials_and_matches_serial(self, tmp_path):
-        spec = timing_spec()  # 4096 samples → 4 shards of 1024
+        spec = bernstein_spec()  # 4096 samples → 4 shards of 1024
         reference = CampaignRunner(max_shards_per_cell=4).run([spec])
 
         with pytest.raises(TestMidCellResume.Abort):
@@ -1264,13 +1250,8 @@ class TestMidCellResume:
         assert len(restored) == 2, "persisted shards must be adopted"
         assert len(fresh) == 2, "finished shards must not be recollected"
         assert result.cells[0].shards_restored == 2
-        assert np.array_equal(
-            reference.cells[0].payload.timings,
-            result.cells[0].payload.timings,
-        )
-        assert np.array_equal(
-            reference.cells[0].payload.plaintexts,
-            result.cells[0].payload.plaintexts,
+        assert sums_bytes(reference.cells[0].payload) == sums_bytes(
+            result.cells[0].payload
         )
         # The whole-cell entry supersedes the partials: they are swept.
         assert not [n for n in os.listdir(tmp_path) if ".shard." in n]
@@ -1281,7 +1262,7 @@ class TestMidCellResume:
         assert final.cells[0].from_cache
 
     def test_fully_persisted_cell_needs_only_the_merge(self, tmp_path):
-        spec = timing_spec()
+        spec = bernstein_spec()
         with pytest.raises(TestMidCellResume.Abort):
             CampaignRunner(
                 cache_dir=str(tmp_path), max_shards_per_cell=4,
@@ -1299,7 +1280,7 @@ class TestMidCellResume:
 
 class TestDryRunPlan:
     def test_plan_reports_cache_and_shard_state(self, tmp_path):
-        sharded = timing_spec()
+        sharded = bernstein_spec()
         whole = missrate_spec()
         runner = CampaignRunner(
             cache_dir=str(tmp_path), max_shards_per_cell=4
@@ -1339,7 +1320,10 @@ class TestDryRunPlan:
 
 class TestStreamingPartials:
     def test_partial_events_stream_prefix_merges(self):
-        spec = timing_spec()
+        from repro.campaigns.registry import get_experiment
+        from repro.core.batch import merge_shard_sums
+
+        spec = bernstein_spec()
         events = []
         result = CampaignRunner(
             max_shards_per_cell=4, progress=events.append,
@@ -1351,13 +1335,26 @@ class TestStreamingPartials:
         assert [e.shards_done for e in partials] == [1, 2, 3]
         assert all(e.shards_total == 4 for e in partials)
         assert all(e.work == 0 for e in partials)
-        full = result.cells[0].payload
+        kind = get_experiment(spec.kind)
+        parts = [kind.run_shard(spec, shard)
+                 for shard in kind.plan_shards(spec, 4)]
+
+        def prefix_bytes(k):
+            """Both parties' sums over the plan's first k shards."""
+            return b"".join(
+                sums_bytes(merge_shard_sums(
+                    [p[party] for p in parts[:k]], partial=True
+                ))
+                for party in ("victim", "attacker")
+            )
+
+        assert sums_bytes(result.cells[0].payload) == prefix_bytes(4)
         for event in partials:
-            assert "mean_cycles" in event.summary
-            n = event.partial.num_samples
-            assert n == event.shards_done * 1024
-            # The preview is exactly the prefix of the final payload.
-            assert np.array_equal(event.partial.timings, full.timings[:n])
+            assert "remaining_key_space_log2" in event.summary
+            k = event.shards_done
+            assert event.partial.victim_sums.num_samples == k * 1024
+            # The preview is exactly the prefix of the final collection.
+            assert sums_bytes(event.partial) == prefix_bytes(k)
 
     def test_partial_attack_previews_report_key_space(self):
         """Incremental attack results surface before the cell ends."""
@@ -1381,7 +1378,7 @@ class TestStreamingPartials:
         events = []
         CampaignRunner(
             max_shards_per_cell=4, progress=events.append
-        ).run([timing_spec()])
+        ).run([bernstein_spec()])
         assert not [e for e in events if e.event == "partial"]
 
 
@@ -1649,7 +1646,7 @@ class TestCorruptResultQuarantine:
 
     def _submit_and_corrupt(self, tmp_path, backend):
         unit = WorkUnit(
-            unit_id="u1", spec=timing_spec(num_samples=64)
+            unit_id="u1", spec=bernstein_spec(num_samples=64)
         )
         backend.submit(unit)
         # A worker claims the unit, then its result write tears.

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.attack.bernstein import ProfileSums
 from repro.cache.core import ARM920T_L1_GEOMETRY
 from repro.common.trace import MemoryAccess
 from repro.core import batch as batch_module
@@ -22,6 +23,8 @@ from repro.core.batch import (
 )
 from repro.core.setups import SETUP_NAMES, make_setup
 from repro.crypto.aes import AES128, DEFAULT_TABLE_BASE
+
+from conftest import sums_bytes
 
 
 class TestLookupLineIds:
@@ -161,7 +164,7 @@ class TestEpochBatching:
         full = engine.collect(key, 8192)
         calls = record_epoch_batches(monkeypatch)
         shard = Shard(index=1, num_shards=3, start=2048, end=5120)
-        part = engine.collect_shard(key, 8192, shard)
+        part = engine.collect_shard_sums(key, 8192, shard)
         expected = [
             epoch for start, end, _, epoch
             in engine.epoch_blocks(8192, "victim", 0xC0DE)
@@ -169,7 +172,9 @@ class TestEpochBatching:
         ]
         assert calls == [expected]
         assert len(expected) == 3
-        assert np.array_equal(part.timings, full.timings[2048:5120])
+        assert sums_bytes(part.sums) == sums_bytes(ProfileSums.from_samples(
+            full.plaintexts[2048:5120], full.timings[2048:5120]
+        ))
 
     def test_many_epochs_never_replay_scalar(self, monkeypatch):
         """More epochs than any memo could hold: every one is batched,
@@ -279,11 +284,12 @@ class TestFusedTimingPass:
         # mid-way through the second.
         shard = Shard(index=1, num_shards=3, start=5 * 1024,
                       end=chunk + 3 * 1024)
-        part = engine.collect_shard(key, total, shard)
-        assert np.array_equal(part.plaintexts,
+        plaintexts, timings = engine._collect_range(
+            key, total, shard.start, shard.end, "victim", 0xC0DE
+        )
+        assert np.array_equal(plaintexts,
                               full.plaintexts[shard.start:shard.end])
-        assert np.array_equal(part.timings,
-                              full.timings[shard.start:shard.end])
+        assert np.array_equal(timings, full.timings[shard.start:shard.end])
 
 
 class TestEngineTimings:

@@ -8,7 +8,6 @@ from repro.attack.bernstein import (
     BernsteinAttack,
     TimingProfile,
     profile_from_samples,
-    timing_variation_by_value,
 )
 
 
@@ -135,19 +134,3 @@ class TestScores:
         study, victim = synthetic_profiles(key)
         attack = BernsteinAttack(study, victim)
         assert attack.score_noise_sigma(0) > 0
-
-
-class TestTimingVariation:
-    def test_figure4_helper(self):
-        rng = np.random.default_rng(2)
-        plaintexts = rng.integers(0, 256, size=(4096, 16), dtype=np.uint8)
-        timings = np.full(4096, 100.0)
-        timings[plaintexts[:, 4] == 9] += 50.0
-        variation = timing_variation_by_value(plaintexts, timings, 4)
-        assert int(np.argmax(variation)) == 9
-
-    def test_byte_index_validated(self):
-        with pytest.raises(ValueError):
-            timing_variation_by_value(
-                np.zeros((10, 16), dtype=np.uint8), np.zeros(10), 16
-            )

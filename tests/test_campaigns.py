@@ -22,14 +22,7 @@ from repro.campaigns import (
 from repro.campaigns.cache import ResultCache
 from repro.core.simulator import run_all_setups
 
-
-def sums_bytes(payload) -> bytes:
-    """Both parties' profile sums of a bernstein payload, as bytes."""
-    return b"".join(
-        np.asarray(getattr(sums, field)).tobytes()
-        for sums in (payload.victim_sums, payload.attacker_sums)
-        for field in ("sums", "sum_squares", "counts", "total")
-    )
+from conftest import sums_bytes
 
 
 class TestExperimentSpec:
@@ -103,7 +96,8 @@ class TestExperimentSpec:
 class TestRegistry:
     def test_builtin_kinds_registered(self):
         kinds = experiment_kinds()
-        for name in ("bernstein", "pwcet", "missrate", "timing_samples"):
+        for name in ("bernstein", "pwcet", "missrate", "prime_probe",
+                     "evict_time"):
             assert name in kinds
 
     def test_unknown_kind_raises(self):
@@ -857,7 +851,7 @@ class TestResultCacheLeases:
         just-written partials — the engine keeps the lease fresh."""
         cache = ResultCache(str(tmp_path))
         spec = ExperimentSpec(
-            kind="timing_samples", setup="deterministic",
+            kind="bernstein", setup="deterministic",
             num_samples=4096, seed=9,
         )
         solo = CampaignRunner().run([spec])
@@ -873,9 +867,8 @@ class TestResultCacheLeases:
         ).run([spec])
         assert swept, "expected shard progress events"
         assert all(count == 0 for count in swept)
-        assert (
-            result.cells[0].payload.timings.tobytes()
-            == solo.cells[0].payload.timings.tobytes()
+        assert sums_bytes(result.cells[0].payload) == sums_bytes(
+            solo.cells[0].payload
         )
         # The finished campaign released its lease: nothing lingers
         # to shield the (now complete) entry from future sweeps.

@@ -21,7 +21,6 @@ import threading
 import time
 import urllib.error
 
-import numpy as np
 import pytest
 
 from repro.backends import (
@@ -46,10 +45,12 @@ from repro.backends.workqueue import (
 from repro.campaigns import CampaignRunner, ExperimentSpec
 from repro.common.fsio import atomic_write_bytes
 
+from conftest import sums_bytes
 
-def timing_spec(num_samples=4096, setup="deterministic", seed=9):
+
+def bernstein_spec(num_samples=4096, setup="deterministic", seed=9):
     return ExperimentSpec(
-        kind="timing_samples", setup=setup,
+        kind="bernstein", setup=setup,
         num_samples=num_samples, seed=seed,
     )
 
@@ -118,7 +119,7 @@ class TestWireProtocol:
         client = make_client(server)
         for unit_id in ("u1", "u2"):
             submit_unit(client, WorkUnit(
-                unit_id=unit_id, spec=timing_spec(num_samples=64)
+                unit_id=unit_id, spec=bernstein_spec(num_samples=64)
             ))
         body = {"worker": "w1", "host": "testhost", "claim": "c1"}
         first = client.request_json("POST", "/claim", json_body=body)[1]
@@ -129,7 +130,7 @@ class TestWireProtocol:
 
     def test_submit_claim_result_roundtrip(self, server):
         client = make_client(server)
-        unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        unit = WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         submit_unit(client, unit)
 
         answer = claim(client, worker="w1")
@@ -209,7 +210,7 @@ class TestWireProtocol:
 
     def test_stats_reports_fleet_by_host(self, server):
         client = make_client(server)
-        unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        unit = WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         submit_unit(client, unit)
         claim(client, worker="w1", host="alpha")
         claim(client, worker="w2", host="beta")  # idle: no unit left
@@ -225,7 +226,7 @@ class TestIdempotentResultPosts:
     """Duplicate/stale posts are detected by attempt id and dropped."""
 
     def _claimed_unit(self, server, client):
-        unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        unit = WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         submit_unit(client, unit)
         doc = claim(client, worker="w1")["unit"]
         return unit, doc
@@ -302,7 +303,7 @@ class TestWorkerDeathMidUpload:
         bytes arrived must leave no result file — the unit stays
         claimable through normal lease expiry."""
         client = make_client(server)
-        unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        unit = WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         submit_unit(client, unit)
         claim(client, worker="w1")
 
@@ -395,7 +396,7 @@ class TestHttpBackendCampaign:
     @pytest.fixture(scope="class")
     def serial(self):
         return CampaignRunner(max_shards_per_cell=3).run(
-            [timing_spec()]
+            [bernstein_spec()]
         )
 
     def test_sharded_campaign_bit_identical_to_serial(
@@ -409,18 +410,13 @@ class TestHttpBackendCampaign:
         try:
             result = CampaignRunner(
                 max_shards_per_cell=3, backend=backend
-            ).run([timing_spec()])
+            ).run([bernstein_spec()])
         finally:
             backend.close()
             make_client(server).request_json("POST", "/stop")
             worker.join(timeout=30.0)
-        assert (
-            result.cells[0].payload.timings.tobytes()
-            == serial.cells[0].payload.timings.tobytes()
-        )
-        assert np.array_equal(
-            result.cells[0].payload.plaintexts,
-            serial.cells[0].payload.plaintexts,
+        assert sums_bytes(result.cells[0].payload) == sums_bytes(
+            serial.cells[0].payload
         )
         # Nothing left behind in any lifecycle directory.
         queue_dir = server.state.queue_dir
@@ -463,7 +459,7 @@ class TestHttpBackendCampaign:
             server.url, lease_timeout=0.5, idle_timeout=60.0,
             poll_interval=0.05,
         )
-        unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        unit = WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         backend.submit(unit)
         # A claimant that never heartbeats again (died mid-unit).
         assert claim(client, worker="dead")["unit"] is not None
@@ -485,7 +481,7 @@ class TestHttpBackendCampaign:
         )
         client = make_client(server)
         backend.submit(
-            WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+            WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         )
         assert claim(client, worker="dead")["unit"] is not None
         time.sleep(0.6)
@@ -501,7 +497,7 @@ class TestHttpBackendCampaign:
             poll_interval=0.05,
         )
         queue_dir = server.state.queue_dir
-        unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+        unit = WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         backend.submit(unit)
         # A corrupt result appears (torn write) with no live claim.
         atomic_write_bytes(
@@ -526,7 +522,7 @@ class TestHttpBackendCampaign:
         )
         client = make_client(server)
         backend.submit(
-            WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+            WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         )
         claim(client, worker="w1")
         post_result(
@@ -548,8 +544,8 @@ class TestHttpBackendCampaign:
         for unit_id in ("kept", "gone"):
             backend.submit(
                 WorkUnit(unit_id=unit_id,
-                         spec=timing_spec(num_samples=64,
-                                          seed=hash(unit_id) % 97))
+                         spec=bernstein_spec(num_samples=64,
+                                             seed=hash(unit_id) % 97))
             )
         # "gone" is claimed, then cancelled mid-flight.
         claimed = claim(client, worker="w1")["unit"]
@@ -596,6 +592,9 @@ def _start_coordinator_process(queue_dir, port, *extra_args):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Its own process group, so a test can kill the coordinator
+        # together with any pool worker forked from it.
+        start_new_session=True,
     )
 
 
@@ -612,7 +611,7 @@ class TestCoordinatorCrashRestart:
         and the campaign completes with payloads byte-identical to
         serial — clients and workers ride the outage on their retry
         budgets, and no unit is lost or duplicated."""
-        spec = timing_spec()
+        spec = bernstein_spec()
         serial = CampaignRunner(max_shards_per_cell=4).run([spec])
 
         queue_dir = str(tmp_path / "queue")
@@ -656,9 +655,8 @@ class TestCoordinatorCrashRestart:
                 )
                 worker.join(timeout=60.0)
             assert killed, "campaign finished before the kill fired"
-            assert (
-                result.cells[0].payload.timings.tobytes()
-                == serial.cells[0].payload.timings.tobytes()
+            assert sums_bytes(result.cells[0].payload) == sums_bytes(
+                serial.cells[0].payload
             )
         finally:
             for proc in [coordinator] + replacement:
@@ -703,9 +701,13 @@ class TestCoordinatorInterrupt:
             assert "exiting after 0 unit(s)" in worker_logs()
             assert not os.path.exists(wq._stop_path(queue_dir))
         finally:
-            if coordinator.poll() is None:
-                coordinator.kill()
-                coordinator.wait(timeout=10.0)
+            # Kill the whole group: a failed drain must not orphan the
+            # pool worker forked from the coordinator.
+            try:
+                os.killpg(coordinator.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            coordinator.wait(timeout=10.0)
 
 
 class TestClaimCutShortByRestart:
@@ -798,17 +800,16 @@ class TestCoordinatorWorkerLauncher:
         try:
             result = CampaignRunner(
                 max_shards_per_cell=2, backend=backend
-            ).run([timing_spec()])
+            ).run([bernstein_spec()])
         finally:
             backend.close()
             make_client(server).request_json("POST", "/stop")
             supervisor.shutdown()
         reference = CampaignRunner(max_shards_per_cell=2).run(
-            [timing_spec()]
+            [bernstein_spec()]
         )
-        assert (
-            result.cells[0].payload.timings.tobytes()
-            == reference.cells[0].payload.timings.tobytes()
+        assert sums_bytes(result.cells[0].payload) == sums_bytes(
+            reference.cells[0].payload
         )
 
 
@@ -843,7 +844,7 @@ class TestOneStateMachine:
             idle_timeout=30.0, telemetry=sink,
         )
         backend.submit(
-            WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+            WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
         )
         stop = threading.Event()
 
@@ -886,7 +887,7 @@ class TestPostResultReleaseRace:
     ):
         state = coord_mod.CoordinatorState(str(tmp_path / "queue"))
         doc = dict(
-            WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
+            WorkUnit(unit_id="u1", spec=bernstein_spec(num_samples=64))
             .to_doc(),
             attempt=1, heartbeat=5.0,
         )

@@ -7,7 +7,9 @@ here and forces a conscious digest update.  The same digests are
 asserted over three execution paths:
 
 * serial  — one ``AESTimingEngine.collect`` call,
-* sharded — ``collect_shard`` over a multi-shard plan, merged,
+* sharded — ``collect_shard_sums`` over even, adaptive and uneven
+  plans, merged, equal byte for byte to the sums of the frozen
+  samples,
 * pooled  — a ``bernstein`` campaign cell through
   ``CampaignRunner(workers=N, max_shards_per_cell=M)``,
 
@@ -15,7 +17,7 @@ which is the acceptance proof that intra-cell sharding is
 bit-identical to the serial path (the cells' profile sums byte for
 byte, attack results equal).  The profile sums a campaign cell
 carries are chained back to the frozen samples by
-``TestProfileSumsGoldens``.
+``TestShardedGoldens`` and ``TestProfileSumsGoldens``.
 
 CI re-runs this module with ``REPRO_GOLDEN_WORKERS=2`` so the
 process-pool path is exercised with real workers, and with
@@ -26,6 +28,7 @@ work-queue dispatch is bit-identical too.
 """
 
 import contextlib
+import functools
 import hashlib
 import os
 import tempfile
@@ -39,13 +42,10 @@ from repro.attack.bernstein import (
     profile_from_samples,
 )
 from repro.campaigns import CampaignRunner, ExperimentSpec, bernstein_grid
-from repro.core.batch import (
-    AESTimingEngine,
-    ShardPolicy,
-    merge_shard_samples,
-    merge_shard_sums,
-)
+from repro.core.batch import AESTimingEngine, ShardPolicy, merge_shard_sums
 from repro.core.setups import SETUP_NAMES, make_setup
+
+from conftest import sums_bytes
 
 #: Worker count for the campaign-path goldens (CI sets 2 to exercise
 #: real worker processes; default keeps local runs cheap on
@@ -280,13 +280,6 @@ def sample_digest(samples) -> str:
     return h.hexdigest()
 
 
-def sums_bytes(sums: ProfileSums) -> bytes:
-    return b"".join(
-        np.asarray(getattr(sums, field)).tobytes()
-        for field in ("sums", "sum_squares", "counts", "total")
-    )
-
-
 def golden_engine(setup_name: str) -> AESTimingEngine:
     return AESTimingEngine(make_setup(setup_name), rng=GOLDEN_ENGINE_SEED)
 
@@ -307,40 +300,66 @@ class TestSerialGoldens:
         assert len(set(GOLDEN_DIGESTS.values())) == len(GOLDEN_DIGESTS)
 
 
+@functools.lru_cache(maxsize=None)
+def collect_index(setup_name, party):
+    """``collect``'s samples as (profile index, timings); the victim's
+    are checked against the frozen digest first."""
+    samples = golden_engine(setup_name).collect(
+        GOLDEN_KEY, GOLDEN_SAMPLES, party=party, campaign_seed=0xC0DE
+    )
+    if party == "victim":
+        assert sample_digest(samples) == GOLDEN_DIGESTS[setup_name]
+        return samples.plaintexts, samples.timings
+    return samples.key_xor_plaintexts(), samples.timings
+
+
+def index_key(party):
+    return GOLDEN_KEY if party == "attacker" else None
+
+
+def check_plan(engine, party, plan):
+    """Every shard's sums, merged in a shuffled order, equal the sums
+    of the frozen samples byte for byte; the first two shards, merged
+    as a prefix, equal the sums of the samples they cover."""
+    index, timings = collect_index(engine.setup.name, party)
+    assert len(plan) >= 3, "plan must shard the budget past a prefix"
+    parts = [
+        engine.collect_shard_sums(
+            GOLDEN_KEY, GOLDEN_SAMPLES, shard, party=party,
+            campaign_seed=0xC0DE, index_key=index_key(party),
+        )
+        for shard in plan
+    ]
+    shuffled = parts[2:] + parts[:2][::-1]
+    assert sums_bytes(merge_shard_sums(shuffled)) == sums_bytes(
+        ProfileSums.from_samples(index, timings)
+    )
+    end = plan[1].end
+    prefix = merge_shard_sums([parts[1], parts[0]], partial=True)
+    assert sums_bytes(prefix) == sums_bytes(
+        ProfileSums.from_samples(index[:end], timings[:end])
+    )
+
+
 class TestShardedGoldens:
+    """An even and an adaptive plan: the merged shard sums are the
+    sums of the samples ``GOLDEN_DIGESTS`` pins."""
+
     @pytest.mark.parametrize("setup_name", SETUP_NAMES)
     @pytest.mark.parametrize("num_shards", [3])
     def test_sharded_collect_matches_frozen_digest(self, setup_name,
                                                    num_shards):
         engine = golden_engine(setup_name)
-        plan = engine.shard_plan(GOLDEN_SAMPLES, num_shards)
-        assert len(plan) > 1, "plan must actually shard the budget"
-        merged = merge_shard_samples([
-            engine.collect_shard(
-                GOLDEN_KEY, GOLDEN_SAMPLES, shard,
-                party="victim", campaign_seed=0xC0DE,
-            )
-            for shard in plan
-        ])
-        assert sample_digest(merged) == GOLDEN_DIGESTS[setup_name]
+        check_plan(engine, "victim",
+                   engine.shard_plan(GOLDEN_SAMPLES, num_shards))
 
     @pytest.mark.parametrize("setup_name", SETUP_NAMES)
     def test_adaptive_plan_matches_frozen_digest(self, setup_name):
-        """Adaptive geometry moves shard cuts, never sample values:
-        the merged collection must still hash to the frozen digest."""
+        """Adaptive geometry moves shard cuts, never sample values."""
         engine = golden_engine(setup_name)
-        plan = engine.shard_plan(
+        check_plan(engine, "victim", engine.shard_plan(
             GOLDEN_SAMPLES, 4, ShardPolicy.adaptive(min_block=1024)
-        )
-        assert len(plan) > 1, "plan must actually shard the budget"
-        merged = merge_shard_samples([
-            engine.collect_shard(
-                GOLDEN_KEY, GOLDEN_SAMPLES, shard,
-                party="victim", campaign_seed=0xC0DE,
-            )
-            for shard in plan
-        ])
-        assert sample_digest(merged) == GOLDEN_DIGESTS[setup_name]
+        ))
 
 
 class TestProfileSumsGoldens:
@@ -359,23 +378,11 @@ class TestProfileSumsGoldens:
     def party(self, request):
         return request.param
 
-    def collect(self, engine, party):
-        samples = engine.collect(
-            GOLDEN_KEY, GOLDEN_SAMPLES, party=party, campaign_seed=0xC0DE
-        )
-        if party == "victim":
-            assert sample_digest(samples) == GOLDEN_DIGESTS[engine.setup.name]
-            return samples.plaintexts, samples.timings
-        return samples.key_xor_plaintexts(), samples.timings
-
-    def index_key(self, party):
-        return GOLDEN_KEY if party == "attacker" else None
-
     def test_sums_match_collected_samples(self, engine, party):
-        index, timings = self.collect(engine, party)
+        index, timings = collect_index(engine.setup.name, party)
         sums = engine.collect_sums(
             GOLDEN_KEY, GOLDEN_SAMPLES, party=party, campaign_seed=0xC0DE,
-            index_key=self.index_key(party),
+            index_key=index_key(party),
         )
         assert sums_bytes(sums) == sums_bytes(
             ProfileSums.from_samples(index, timings)
@@ -390,28 +397,12 @@ class TestProfileSumsGoldens:
         assert from_sums.global_mean == from_samples.global_mean
 
     def test_uneven_shards_and_prefix_match(self, engine, party):
-        index, timings = self.collect(engine, party)
         plan = engine.shard_plan(
             GOLDEN_SAMPLES, 3, ShardPolicy.adaptive(min_block=1024)
         )
         sizes = [shard.num_samples for shard in plan]
         assert len(sizes) == 3 and len(set(sizes)) > 1
-        parts = [
-            engine.collect_shard_sums(
-                GOLDEN_KEY, GOLDEN_SAMPLES, shard, party=party,
-                campaign_seed=0xC0DE, index_key=self.index_key(party),
-            )
-            for shard in plan
-        ]
-        shuffled = [parts[2], parts[0], parts[1]]
-        assert sums_bytes(merge_shard_sums(shuffled)) == sums_bytes(
-            ProfileSums.from_samples(index, timings)
-        )
-        end = plan[1].end
-        prefix = merge_shard_sums([parts[1], parts[0]], partial=True)
-        assert sums_bytes(prefix) == sums_bytes(
-            ProfileSums.from_samples(index[:end], timings[:end])
-        )
+        check_plan(engine, party, plan)
 
 
 class TestCampaignGoldens:

@@ -670,7 +670,7 @@ class TestKernelSeam:
             ExperimentSpec(kind="missrate", seed=1,
                            params={"policy": "modulo",
                                    "workload": "stride"}),
-            ExperimentSpec(kind="timing_samples", setup="tscache",
+            ExperimentSpec(kind="bernstein", setup="tscache",
                            num_samples=1024, seed=1),
         ]
         plans = runner.plan(specs)

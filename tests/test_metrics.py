@@ -17,7 +17,6 @@ def outcome(byte_index=0, true_value=7, surviving=None):
         byte_index=byte_index,
         true_value=true_value,
         surviving_values=frozenset(surviving),
-        scores=tuple(float(i) for i in range(256)),
     )
 
 

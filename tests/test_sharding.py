@@ -8,14 +8,17 @@ import random
 import numpy as np
 import pytest
 
+from repro.attack.bernstein import ProfileSums
 from repro.core.batch import (
     AESTimingEngine,
     Shard,
     ShardPlan,
     ShardPolicy,
-    merge_shard_samples,
+    merge_shard_sums,
 )
 from repro.core.setups import make_setup
+
+from conftest import sums_bytes
 
 KEY = bytes(range(16))
 
@@ -199,16 +202,18 @@ class TestEngineSharding:
         serial = engine.collect(KEY, n, party="attacker")
         plan = engine.shard_plan(n, num_shards)
         parts = [
-            engine.collect_shard(KEY, n, shard, party="attacker")
+            engine.collect_shard_sums(KEY, n, shard, party="attacker",
+                                      index_key=KEY)
             for shard in plan
         ]
+        assert all(p.key == KEY and p.setup_name == setup_name
+                   for p in parts)
         # Invariance to completion order: merge a shuffled part list.
         random.Random(num_shards).shuffle(parts)
-        merged = merge_shard_samples(parts)
-        assert merged.timings.tobytes() == serial.timings.tobytes()
-        assert merged.plaintexts.tobytes() == serial.plaintexts.tobytes()
-        assert merged.key == serial.key
-        assert merged.setup_name == serial.setup_name
+        merged = merge_shard_sums(parts)
+        assert sums_bytes(merged) == sums_bytes(ProfileSums.from_samples(
+            serial.key_xor_plaintexts(), serial.timings
+        ))
 
     @pytest.mark.parametrize("setup_name", ["deterministic", "tscache",
                                             "rpcache"])
@@ -219,8 +224,9 @@ class TestEngineSharding:
     def test_adaptive_merge_bit_identical_to_serial(self, setup_name,
                                                     policy):
         """The adaptive geometry changes only where the cuts land;
-        merged samples must equal serial (and therefore the even
-        split) bit for bit, in any completion order."""
+        merged sums must equal those of the serial samples (and
+        therefore the even split) bit for bit, in any completion
+        order."""
         engine = AESTimingEngine(make_setup(setup_name), rng=11)
         n = 20_000
         serial = engine.collect(KEY, n, party="attacker")
@@ -229,13 +235,15 @@ class TestEngineSharding:
         sizes = [s.num_samples for s in plan]
         assert sizes[0] < sizes[-1], "lead shard must be the small one"
         parts = [
-            engine.collect_shard(KEY, n, shard, party="attacker")
+            engine.collect_shard_sums(KEY, n, shard, party="attacker",
+                                      index_key=KEY)
             for shard in plan
         ]
         random.Random(len(plan)).shuffle(parts)
-        merged = merge_shard_samples(parts)
-        assert merged.timings.tobytes() == serial.timings.tobytes()
-        assert merged.plaintexts.tobytes() == serial.plaintexts.tobytes()
+        merged = merge_shard_sums(parts)
+        assert sums_bytes(merged) == sums_bytes(ProfileSums.from_samples(
+            serial.key_xor_plaintexts(), serial.timings
+        ))
 
     def test_adaptive_plan_is_block_aligned(self):
         """tscache epochs/realisations turn over every 1024 samples;
@@ -268,13 +276,13 @@ class TestEngineSharding:
         engine = AESTimingEngine(make_setup("tscache"))
         bad = Shard(index=0, num_shards=2, start=0, end=1000)
         with pytest.raises(ValueError, match="block-aligned"):
-            engine.collect_shard(KEY, 4096, bad)
+            engine.collect_shard_sums(KEY, 4096, bad)
 
     def test_shard_beyond_budget_rejected(self):
         engine = AESTimingEngine(make_setup("tscache"))
         bad = Shard(index=0, num_shards=1, start=0, end=8192)
         with pytest.raises(ValueError, match="budget"):
-            engine.collect_shard(KEY, 4096, bad)
+            engine.collect_shard_sums(KEY, 4096, bad)
 
     def test_collect_is_reproducible(self):
         """Collection is a pure function of (entropy, key, party,
@@ -296,26 +304,26 @@ class TestMergeValidation:
     def _parts(self, n=4096, k=2):
         engine = AESTimingEngine(make_setup("tscache"), rng=5)
         plan = engine.shard_plan(n, k)
-        return [engine.collect_shard(KEY, n, s) for s in plan], engine
+        return [engine.collect_shard_sums(KEY, n, s) for s in plan], engine
 
     def test_missing_shard_rejected(self):
         parts, _ = self._parts()
         with pytest.raises(ValueError, match="shards"):
-            merge_shard_samples(parts[:1])
+            merge_shard_sums(parts[:1])
 
     def test_duplicate_shard_rejected(self):
         parts, _ = self._parts()
         with pytest.raises(ValueError, match="duplicate or missing"):
-            merge_shard_samples([parts[0], parts[0]])
+            merge_shard_sums([parts[0], parts[0]])
 
     def test_mixed_collections_rejected(self):
         parts, engine = self._parts()
         n = 4096
         plan = engine.shard_plan(n, 2)
-        other = engine.collect_shard(bytes(16), n, plan[1])
+        other = engine.collect_shard_sums(bytes(16), n, plan[1])
         with pytest.raises(ValueError, match="different collections"):
-            merge_shard_samples([parts[0], other])
+            merge_shard_sums([parts[0], other])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no shards"):
-            merge_shard_samples([])
+            merge_shard_sums([])

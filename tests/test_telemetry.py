@@ -49,9 +49,9 @@ def missrate_spec(policy="modulo", workload="reuse"):
     )
 
 
-def timing_spec(num_samples=4096, seed=9):
+def bernstein_spec(num_samples=4096, seed=9):
     return ExperimentSpec(
-        kind="timing_samples", setup="deterministic",
+        kind="bernstein", setup="deterministic",
         num_samples=num_samples, seed=seed,
     )
 
@@ -394,7 +394,7 @@ class TestRunnerInstrumentation:
         sink = RecordingSink()
         CampaignRunner(
             telemetry=sink, max_shards_per_cell=4,
-        ).run([timing_spec()])
+        ).run([bernstein_spec()])
         merges = sink.of_type("merge")
         assert len(merges) == 1
         assert merges[0]["shards"] == 4
@@ -524,7 +524,7 @@ class TestStatusCoordinatorFleet:
         from repro.backends import CoordinatorServer, HttpQueueBackend
         from repro.telemetry import coordinator_status
 
-        specs = [timing_spec(num_samples=16384, seed=s)
+        specs = [bernstein_spec(num_samples=16384, seed=s)
                  for s in (1, 2)]
         with CoordinatorServer(str(tmp_path)) as server:
             backend = HttpQueueBackend(
